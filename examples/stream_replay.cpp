@@ -3,9 +3,11 @@
 // Trains a model on a synthetic city, then replays a synthetic record
 // feed through the streaming ingestor round after round, each round one
 // 4-week grid further along in event time so the watermark keeps
-// advancing. While it runs, the embedded stats server (set
-// CELLSCOPE_INTROSPECT_PORT) serves /metrics, /metrics.json, /healthz,
-// and /stream for curl; see README "Watching a live run".
+// advancing. Set CELLSCOPE_INTROSPECT_PORT (0 = ephemeral) and, from
+// before training until exit, a server::QueryServer over this run's
+// ingestor serves /metrics, /metrics.json, /healthz, /stream, /stats and
+// /towers/<id>/... for curl; see README "Watching a live run". A bad
+// port value or a failed bind logs a warning and the run goes on.
 //
 //   $ CELLSCOPE_INTROSPECT_PORT=9090 ./stream_replay --rounds=20 --pause-ms=1000
 //
@@ -30,20 +32,26 @@
 //                           including a SIGINT/SIGTERM exit, which stops
 //                           at the next round boundary instead of dying
 //                           mid-write
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
+#include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
 
+#include "common/error.h"
 #include "common/rng.h"
 #include "common/time_grid.h"
 #include "core/cellscope.h"
 #include "mapred/thread_pool.h"
-#include "obs/introspect.h"
+#include "obs/log.h"
 #include "obs/report.h"
+#include "server/query_service.h"
+#include "server/server.h"
 #include "signal_util.h"
 #include "stream/ingestor.h"
 #include "stream/online_classifier.h"
@@ -88,6 +96,23 @@ std::vector<TrafficLog> synthetic_logs(std::size_t n_records,
     logs.push_back(log);
   }
   return logs;
+}
+
+/// CELLSCOPE_INTROSPECT_PORT as a port number; nullopt when unset or
+/// invalid (an invalid value is logged, never fatal).
+std::optional<std::uint16_t> introspect_port() {
+  const char* env = std::getenv("CELLSCOPE_INTROSPECT_PORT");
+  if (env == nullptr || *env == '\0') return std::nullopt;
+  const std::string_view text(env);
+  unsigned port = 0;
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), port);
+  if (ec != std::errc() || end != text.data() + text.size() ||
+      port > 65535) {
+    obs::log_warn("introspect.bad_port", {{"value", text}});
+    return std::nullopt;
+  }
+  return static_cast<std::uint16_t>(port);
 }
 
 /// The SIGINT/SIGTERM (and normal-exit) epilogue: drain what's pending,
@@ -156,23 +181,41 @@ int main(int argc, char** argv) {
   examples::install_stop_handlers();
   obs::arm_run_report("stream_replay");  // no-op unless CELLSCOPE_RUN_REPORT
 
-  if (obs::IntrospectionServer::maybe_start_from_env()) {
-    std::cout << "introspection server on http://127.0.0.1:"
-              << obs::IntrospectionServer::instance().port()
-              << "  (/metrics /metrics.json /healthz /stream)\n";
-  } else {
-    std::cout << "introspection server off "
-                 "(set CELLSCOPE_INTROSPECT_PORT to enable)\n";
+  ThreadPool pool(configured_thread_count());
+  StreamIngestor ingestor(StreamConfig::from_env());
+
+  // The stats port comes up before training, so a run is observable from
+  // its first second.
+  std::optional<server::QueryService> service;
+  std::optional<server::QueryServer> stats_server;
+  if (const auto port = introspect_port()) {
+    service.emplace(ingestor, &pool);
+    server::ServerConfig server_config;
+    server_config.port = *port;
+    stats_server.emplace(*service, server_config);
+    try {
+      stats_server->start();
+      std::cout << "stats server on http://127.0.0.1:"
+                << stats_server->port()
+                << "  (/metrics /metrics.json /healthz /stream /stats "
+                   "/towers/<id>/...)\n";
+    } catch (const Error& e) {
+      // A stats port that cannot be bound must not take the run down.
+      obs::log_warn("introspect.start_failed", {{"error", e.what()}});
+      stats_server.reset();
+    }
   }
+  if (!stats_server)
+    std::cout << "stats server off (set CELLSCOPE_INTROSPECT_PORT to "
+                 "enable)\n";
 
   std::cout << "training model on " << n_towers << " towers...\n";
   ExperimentConfig config;
   config.n_towers = n_towers;
   const Experiment experiment = Experiment::run(config);
-  const OnlineClassifier classifier(snapshot_model(experiment));
-
-  ThreadPool pool(configured_thread_count());
-  StreamIngestor ingestor(StreamConfig::from_env());
+  const auto model =
+      std::make_shared<const OnlineClassifier>(snapshot_model(experiment));
+  if (service) service->publish_model(model);
 
   if (!trace_path.empty()) {
     // File replay: one out-of-core pass through the codec layer; the
@@ -182,7 +225,7 @@ int main(int argc, char** argv) {
     file_options.batch_size = options.batch_size;
     file_options.classify_every_batches = options.classify_every_batches;
     const ReplayStats stats = replay_trace_file(trace_path, ingestor, pool,
-                                                file_options, &classifier);
+                                                file_options, model.get());
     const IngestStats ingest = stats.ingest;
     std::cout << trace_path << ": " << stats.records << " records in "
               << stats.wall_ms << " ms ("
@@ -216,7 +259,7 @@ int main(int argc, char** argv) {
     options.seed = 99 + round;
     logs = perturb_arrival_order(std::move(logs), options);
     const ReplayStats stats =
-        replay_trace(logs, ingestor, pool, options, &classifier);
+        replay_trace(logs, ingestor, pool, options, model.get());
     const IngestStats ingest = stats.ingest;
     std::cout << "round " << round + 1 << "/" << rounds << ": "
               << stats.records << " records in " << stats.wall_ms << " ms ("

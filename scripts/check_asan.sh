@@ -1,0 +1,30 @@
+#!/usr/bin/env bash
+# Memory-safety check: configure an AddressSanitizer + UndefinedBehavior-
+# Sanitizer build in build-asan/, build the serving, introspection and obs
+# test suites, and run `ctest -L 'server|introspect|obs'` under it. The
+# intended targets are everything that parses bytes from a socket (the
+# HTTP request parser, POST /classify's JSON body) and the connection
+# lifetime in the worker pool; any out-of-bounds access, use-after-free,
+# leak, or undefined behavior fails the run.
+#
+# Usage:
+#   scripts/check_asan.sh              # configure (once), build, run
+#   CELLSCOPE_ASAN_BUILD_DIR=... scripts/check_asan.sh
+set -euo pipefail
+
+repo_root="$(cd "$(dirname "$0")/.." && pwd)"
+build_dir="${CELLSCOPE_ASAN_BUILD_DIR:-${repo_root}/build-asan}"
+
+# Configure every run: a no-op on a warm cache, and it picks up new
+# targets after CMakeLists changes.
+cmake -B "${build_dir}" -S "${repo_root}" \
+  -DCELLSCOPE_SANITIZE=address,undefined
+
+cmake --build "${build_dir}" -j --target test_server --target test_introspect \
+  --target test_obs
+
+# Findings already fail the run (-fno-sanitize-recover); add the stacks.
+export UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1}"
+
+echo "check_asan: running ctest -L 'server|introspect|obs' under ASan+UBSan"
+ctest --test-dir "${build_dir}" -L 'server|introspect|obs' --output-on-failure

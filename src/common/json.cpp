@@ -8,6 +8,11 @@ namespace cellscope {
 
 namespace {
 
+/// Deepest array/object nesting a document may have. The parser recurses
+/// once per level, so without a bound a body of a few hundred KB of '['
+/// overflows the stack; nothing this project writes nests past a handful.
+constexpr std::size_t kMaxNestingDepth = 512;
+
 /// Appends one Unicode code point as UTF-8.
 void append_utf8(std::string& out, unsigned int cp) {
   if (cp < 0x80) {
@@ -74,9 +79,14 @@ class Parser {
     skip_whitespace();
     switch (peek()) {
       case '{':
-        return parse_object();
-      case '[':
-        return parse_array();
+      case '[': {
+        if (depth_ == kMaxNestingDepth)
+          fail("nesting deeper than " + std::to_string(kMaxNestingDepth));
+        ++depth_;
+        JsonValue value = peek() == '{' ? parse_object() : parse_array();
+        --depth_;
+        return value;
+      }
       case '"':
         return JsonValue(parse_string());
       case 't':
@@ -211,6 +221,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  // arrays/objects currently open
 };
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <exception>
 
 #include "common/error.h"
 #include "common/failpoint.h"
@@ -49,7 +50,7 @@ ThreadPool::~ThreadPool() {
 }
 
 std::future<void> ThreadPool::enqueue_locked(QueuedTask queued) {
-  auto future = queued.task.get_future();
+  auto future = queued.done.get_future();
   tasks_.push(std::move(queued));
   submitted_.fetch_add(1, std::memory_order_relaxed);
   metric_submitted_->add(1);
@@ -58,8 +59,7 @@ std::future<void> ThreadPool::enqueue_locked(QueuedTask queued) {
 }
 
 std::future<void> ThreadPool::submit(std::function<void()> task) {
-  QueuedTask queued{std::packaged_task<void()>(std::move(task)),
-                    std::chrono::steady_clock::now()};
+  QueuedTask queued{std::move(task), {}, std::chrono::steady_clock::now()};
   std::future<void> future;
   {
     std::unique_lock<std::mutex> lock(mutex_);
@@ -84,8 +84,7 @@ std::optional<std::future<void>> ThreadPool::try_submit(
     metric_rejected_->add(1);
     return std::nullopt;
   }
-  QueuedTask queued{std::packaged_task<void()>(std::move(task)),
-                    std::chrono::steady_clock::now()};
+  QueuedTask queued{std::move(task), {}, std::chrono::steady_clock::now()};
   std::future<void> future;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -125,14 +124,12 @@ void ThreadPool::parallel_for(std::size_t n,
 
 void ThreadPool::worker_loop(std::size_t worker_index) {
   for (;;) {
-    QueuedTask queued;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      cv_.wait(lock, [this] { return stopping_ || !tasks_.empty(); });
-      if (tasks_.empty()) return;  // stopping and drained
-      queued = std::move(tasks_.front());
-      tasks_.pop();
-    }
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait(lock, [this] { return stopping_ || !tasks_.empty(); });
+    if (tasks_.empty()) return;  // stopping and drained
+    QueuedTask queued = std::move(tasks_.front());
+    tasks_.pop();
+    lock.unlock();
     if (max_queue_ > 0) cv_space_.notify_one();
     const auto started = std::chrono::steady_clock::now();
     queue_wait_ns_.fetch_add(elapsed_ns(queued.enqueued, started),
@@ -148,12 +145,22 @@ void ThreadPool::worker_loop(std::size_t worker_index) {
                             "\"worker\":" + std::to_string(worker_index));
     }
     metric_queue_depth_->add(-1);
-    queued.task();
+    std::exception_ptr error;
+    try {
+      queued.task();
+    } catch (...) {
+      error = std::current_exception();
+    }
     busy_ns_[worker_index].fetch_add(
         elapsed_ns(started, std::chrono::steady_clock::now()),
         std::memory_order_relaxed);
     completed_.fetch_add(1, std::memory_order_relaxed);
     metric_completed_->add(1);
+    if (error) {
+      queued.done.set_exception(error);
+    } else {
+      queued.done.set_value();
+    }
   }
 }
 

@@ -88,7 +88,10 @@ class ThreadPool {
 
  private:
   struct QueuedTask {
-    std::packaged_task<void()> task;
+    std::function<void()> task;
+    /// Resolved only after the pool has counted the task as completed,
+    /// so stats() read after future.get() already includes it.
+    std::promise<void> done;
     std::chrono::steady_clock::time_point enqueued;
   };
 

@@ -23,16 +23,6 @@ void atomic_add_double(std::atomic<std::uint64_t>& bits, double delta) noexcept 
   }
 }
 
-/// JSON has no literal for NaN or infinity — a bare `nan` token makes
-/// the whole /metrics.json document unparseable. Non-finite values
-/// serialize as null, matching the serving plane's json_double.
-std::string format_json_double(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
 /// Prometheus exposition text, by contrast, spells non-finite values out.
 std::string format_prom_double(double v) {
   if (std::isnan(v)) return "NaN";
@@ -152,6 +142,15 @@ void HistogramBatch::flush() noexcept {
     sums_[i] = 0.0;
   }
   pending_ = 0;
+}
+
+std::string format_json_double(double v) {
+  // JSON has no literal for NaN or infinity — a bare `nan` token makes
+  // the whole /metrics.json document unparseable.
+  if (!std::isfinite(v)) return "null";
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.9g", v);
+  return buf;
 }
 
 std::string json_escape(std::string_view s) {

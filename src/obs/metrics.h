@@ -181,6 +181,10 @@ class HistogramBatch {
   std::uint64_t pending_ = 0;
 };
 
+/// A double as a JSON number token ("%.9g"); non-finite values become
+/// `null`, since JSON has no literal for NaN or infinity.
+std::string format_json_double(double v);
+
 /// Escapes a string for embedding inside a JSON string literal.
 std::string json_escape(std::string_view s);
 

@@ -166,8 +166,7 @@ std::string QualityBoard::verdicts_json() const {
             json_escape(v.stage) + "\",\"severity\":\"" +
             std::string(severity_name(v.severity)) +
             "\",\"passed\":" + (v.passed ? "true" : "false") +
-            ",\"value\":" +
-            (std::isfinite(v.value) ? format_value(v.value) : "null") +
+            ",\"value\":" + format_json_double(v.value) +
             ",\"detail\":\"" +
             json_escape(v.detail) + "\"}";
   }

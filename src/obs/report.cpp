@@ -26,7 +26,7 @@ namespace cellscope::obs {
 
 namespace {
 
-std::string format_json_double(double v) {
+std::string format_json_fixed(double v) {
   if (!std::isfinite(v)) return "null";  // JSON has no nan/inf literal
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.6f", v);
@@ -111,7 +111,7 @@ void RunReport::add_config(std::string_view key, std::string_view value) {
 }
 
 void RunReport::add_config(std::string_view key, double value) {
-  add_config_json(key, format_json_double(value));
+  add_config_json(key, format_json_fixed(value));
 }
 
 void RunReport::add_config(std::string_view key, bool value) {
@@ -148,7 +148,7 @@ std::string RunReport::to_json() const {
     json += '"' + json_escape(key) + "\":" + token;
   }
   json += "}";
-  json += ",\"wall_s\":" + format_json_double(now_us() / 1e6);
+  json += ",\"wall_s\":" + format_json_fixed(now_us() / 1e6);
   json += ",\"stages\":[";
   first = true;
   for (const auto& e : StageTrace::instance().events()) {
@@ -156,8 +156,8 @@ std::string RunReport::to_json() const {
     first = false;
     json += "{\"name\":\"" + json_escape(e.name) + "\",\"cat\":\"" +
             json_escape(e.category) +
-            "\",\"ts_us\":" + format_json_double(e.ts_us) +
-            ",\"dur_us\":" + format_json_double(e.dur_us) + '}';
+            "\",\"ts_us\":" + format_json_fixed(e.ts_us) +
+            ",\"dur_us\":" + format_json_fixed(e.dur_us) + '}';
   }
   json += "],\"metrics\":" + MetricsRegistry::instance().snapshot_json();
   json += ",\"quality\":{\"passed\":" + std::to_string(board.passed()) +

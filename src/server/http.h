@@ -1,21 +1,21 @@
-// Minimal HTTP/1.1 message layer for the query daemon (DESIGN.md §11).
+// Minimal HTTP/1.1 message layer — the wire format of the process's one
+// HTTP stack (DESIGN.md §11), which serves both the query endpoints and
+// the introspection table (obs/introspect.h).
 //
-// The introspection server (obs/introspect.h) parses just enough of a
-// request line to route GETs; the query daemon needs more — POST bodies,
-// keep-alive, pipelining, and bounded buffering — so the wire format
-// lives here as pure functions over byte buffers: parse_http_request
-// consumes one request from a growing receive buffer (telling the caller
-// whether it needs more bytes), serialize_response frames one response.
-// No sockets anywhere in this file; the unit tests drive the parser with
-// plain strings and the server loop (server/server.h) owns the I/O.
+// The server needs POST bodies, keep-alive, pipelining, and bounded
+// buffering, so the wire format lives here as pure functions over byte
+// buffers: parse_http_request consumes one request from a growing
+// receive buffer (telling the caller whether it needs more bytes),
+// serialize_response frames one response. No sockets anywhere in this
+// file; the unit tests drive the parser with plain strings and the
+// server loop (server/server.h) owns the I/O.
 //
 // Supported subset: GET and POST requests, Content-Length bodies (no
 // chunked encoding), HTTP/1.0 and 1.1, keep-alive per the 1.1 default
 // (Connection: close opts out; 1.0 must opt in with keep-alive). Limits
 // are explicit: an over-long head is 431, an over-long body 413, and any
 // structural damage 400 — malformed input is a typed rejection, never a
-// silent close (the contract the introspect satellite of ISSUE 9 also
-// adopts).
+// silent close.
 #pragma once
 
 #include <cstddef>
@@ -28,7 +28,7 @@
 
 namespace cellscope::server {
 
-/// Responses reuse the introspection server's shape so query-service
+/// Responses reuse the introspection table's shape so query-service
 /// handlers and obs handlers compose (the daemon falls back to the
 /// introspect handler table for /metrics, /healthz, /stream).
 using obs::HttpResponse;

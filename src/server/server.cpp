@@ -25,12 +25,13 @@ void close_quiet(int fd) {
   if (fd >= 0) ::close(fd);
 }
 
-HttpResponse shed_response(int status, std::string_view reason) {
+/// Frames a typed JSON error that ends the connection.
+std::string error_frame(int status, std::string_view reason) {
   HttpResponse response;
   response.status = status;
   response.content_type = "application/json";
   response.body = "{\"error\":\"" + std::string(reason) + "\"}";
-  return response;
+  return serialize_response(response, /*keep_alive=*/false);
 }
 
 }  // namespace
@@ -83,10 +84,8 @@ void QueryServer::start() {
 
   stopping_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);
+  pool_ = std::make_unique<ThreadPool>(config_.workers, config_.max_pending);
   acceptor_ = std::thread([this] { accept_loop(); });
-  workers_.reserve(config_.workers);
-  for (std::size_t w = 0; w < config_.workers; ++w)
-    workers_.emplace_back([this] { worker_loop(); });
 
   obs::log_info("server.start",
                 {{"port", static_cast<std::uint64_t>(port_)},
@@ -96,41 +95,22 @@ void QueryServer::start() {
 
 void QueryServer::stop() {
   if (!running_.exchange(false, std::memory_order_acq_rel)) return;
-  // stopping_ is set under queue_mutex_ so the store is serialized with
-  // the workers' wait-predicate check: a worker that saw (not stopping,
-  // queue empty) cannot miss the notify below — it is either already
-  // blocked in wait() or still holds the mutex we need first.
   {
-    const std::lock_guard<std::mutex> lock(queue_mutex_);
-    stopping_.store(true, std::memory_order_release);
-  }
-
-  // Unblock the acceptor, the workers waiting on the queue, and the
-  // workers blocked in recv() on a live connection.
-  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
-  queue_cv_.notify_all();
-  {
+    // Under active_mutex_, so a connection task either registered its fd
+    // before this (and is shut down below) or sees stopping_ afterwards.
     std::lock_guard<std::mutex> lock(active_mutex_);
+    stopping_.store(true, std::memory_order_release);
     for (int fd : active_fds_) ::shutdown(fd, SHUT_RDWR);
   }
-
+  // Unblock the acceptor, then let the pool's drain run what is still
+  // queued: each leftover task sees stopping_ and answers 503.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
   if (acceptor_.joinable()) acceptor_.join();
-  for (auto& worker : workers_) {
-    if (worker.joinable()) worker.join();
-  }
-  workers_.clear();
+  pool_.reset();
   close_quiet(listen_fd_);
   listen_fd_ = -1;
 
-  // Admitted-but-unserved connections get a typed goodbye, not a reset.
-  std::deque<int> leftover;
-  {
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    leftover.swap(admission_queue_);
-  }
   const auto& metrics = ServerMetrics::instance();
-  for (int fd : leftover)
-    reply_and_close(fd, shed_response(503, "server shutting down"));
   metrics.queue_depth->set(0);
   metrics.connections->set(0);
 
@@ -173,13 +153,9 @@ void QueryServer::stop() {
   obs::log_info("server.stop", {{"port", static_cast<std::uint64_t>(port_)}});
 }
 
-std::size_t QueryServer::queue_depth() const {
-  std::lock_guard<std::mutex> lock(queue_mutex_);
-  return admission_queue_.size();
-}
-
 void QueryServer::accept_loop() {
   auto& metrics = ServerMetrics::instance();
+  ThreadPool& pool = *pool_;
   while (!stopping_.load(std::memory_order_acquire)) {
     int client = ::accept(listen_fd_, nullptr, nullptr);
     if (stopping_.load(std::memory_order_acquire)) {
@@ -202,58 +178,53 @@ void QueryServer::accept_loop() {
       continue;
     }
 
-    bool admitted = false;
-    {
-      std::lock_guard<std::mutex> lock(queue_mutex_);
-      if (admission_queue_.size() < config_.max_pending) {
-        admission_queue_.push_back(client);
-        metrics.queue_depth->set(
-            static_cast<std::int64_t>(admission_queue_.size()));
-        admitted = true;
-      }
-    }
-    if (admitted) {
-      queue_cv_.notify_one();
-    } else {
+    // The task owns the fd from here; its future is dropped, which is
+    // why run_connection never lets an exception escape.
+    const auto admitted = pool.try_submit(
+        [this, pool = &pool, client] { run_connection(*pool, client); });
+    metrics.queue_depth->set(static_cast<std::int64_t>(pool.queue_depth()));
+    if (!admitted) {
       // Connection-level shed: no worker will ever see this fd.
       metrics.shed_503->add(1);
-      reply_and_close(client, shed_response(503, "admission queue full"));
+      write_frame(client, error_frame(503, "admission queue full"));
+      close_quiet(client);
     }
   }
 }
 
-void QueryServer::worker_loop() {
+void QueryServer::run_connection(const ThreadPool& pool, int fd) {
   auto& metrics = ServerMetrics::instance();
-  while (true) {
-    int fd = -1;
-    {
-      std::unique_lock<std::mutex> lock(queue_mutex_);
-      queue_cv_.wait(lock, [this] {
-        return stopping_.load(std::memory_order_acquire) ||
-               !admission_queue_.empty();
-      });
-      if (stopping_.load(std::memory_order_acquire)) return;
-      fd = admission_queue_.front();
-      admission_queue_.pop_front();
-      metrics.queue_depth->set(
-          static_cast<std::int64_t>(admission_queue_.size()));
-    }
-    {
-      std::lock_guard<std::mutex> lock(active_mutex_);
+  metrics.queue_depth->set(static_cast<std::int64_t>(pool.queue_depth()));
+  bool tracked = false;
+  {
+    std::lock_guard<std::mutex> lock(active_mutex_);
+    if (!stopping_.load(std::memory_order_acquire)) {
       active_fds_.push_back(fd);
+      tracked = true;
     }
-    metrics.connections->add(1);
-    serve_connection(fd);
-    metrics.connections->add(-1);
-    {
-      std::lock_guard<std::mutex> lock(active_mutex_);
-      std::erase(active_fds_, fd);
-    }
-    close_quiet(fd);
   }
+  try {
+    if (tracked) {
+      metrics.connections->add(1);
+      serve_connection(pool, fd);
+    } else {
+      // Admitted-but-unserved at shutdown: a typed goodbye, not a reset.
+      write_frame(fd, error_frame(503, "server shutting down"));
+    }
+  } catch (const std::exception& e) {
+    obs::log_warn("server.connection_failed", {{"error", e.what()}});
+  } catch (...) {
+    obs::log_warn("server.connection_failed", {{"error", "unknown"}});
+  }
+  if (tracked) {
+    metrics.connections->add(-1);
+    std::lock_guard<std::mutex> lock(active_mutex_);
+    std::erase(active_fds_, fd);
+  }
+  close_quiet(fd);
 }
 
-void QueryServer::serve_connection(int fd) {
+void QueryServer::serve_connection(const ThreadPool& pool, int fd) {
   auto& metrics = ServerMetrics::instance();
   timeval timeout{};
   timeout.tv_sec = config_.read_timeout_ms / 1000;
@@ -274,22 +245,16 @@ void QueryServer::serve_connection(int fd) {
       if (parsed.status == ParseStatus::kNeedMore) break;
       if (parsed.status == ParseStatus::kBad) {
         metrics.bad_requests->add(1);
-        HttpResponse response;
-        response.status = parsed.error_status;
-        response.content_type = "application/json";
-        response.body = "{\"error\":\"" + parsed.error + "\"}";
-        write_frame(fd, serialize_response(response, /*keep_alive=*/false));
+        write_frame(fd, error_frame(parsed.error_status, parsed.error));
         return;  // framing is lost — nothing after this can be trusted
       }
       buffer.erase(0, parsed.consumed);
 
-      if (queue_depth() >= config_.max_pending) {
+      if (pool.queue_depth() >= config_.max_pending) {
         // Request-level shed: the admission queue is saturated, so push
         // back on connected clients too — typed reply, then close.
         metrics.shed_429->add(1);
-        write_frame(fd, serialize_response(
-                            shed_response(429, "server saturated, back off"),
-                            /*keep_alive=*/false));
+        write_frame(fd, error_frame(429, "server saturated, back off"));
         return;
       }
 
@@ -306,6 +271,14 @@ void QueryServer::serve_connection(int fd) {
     }
 
     const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (n == 0 && !buffer.empty() &&
+        !stopping_.load(std::memory_order_acquire)) {
+      // The peer half-closed mid-request: the request can never
+      // complete, so say why instead of closing silently.
+      metrics.bad_requests->add(1);
+      write_frame(fd, error_frame(400, "incomplete request"));
+      return;
+    }
     if (n <= 0) return;  // EOF, timeout, or shutdown
     buffer.append(chunk, static_cast<std::size_t>(n));
   }
@@ -334,11 +307,6 @@ bool QueryServer::write_frame(int fd, const std::string& frame) {
     sent += static_cast<std::size_t>(n);
   }
   return !truncate;
-}
-
-void QueryServer::reply_and_close(int fd, const HttpResponse& response) {
-  write_frame(fd, serialize_response(response, /*keep_alive=*/false));
-  close_quiet(fd);
 }
 
 }  // namespace cellscope::server

@@ -1,17 +1,19 @@
-// The query daemon's socket layer (DESIGN.md §11) — a multi-client
-// HTTP/1.1 loop that generalizes the introspection server's
-// single-threaded poll-accept design to a worker pool.
+// The query daemon's socket layer (DESIGN.md §11) — the process's one
+// HTTP/1.1 socket loop. It serves the query endpoints and, through
+// QueryService's fallback, the introspection table (/metrics,
+// /metrics.json, /healthz, /stream).
 //
-// Threading model: one acceptor thread plus `workers` worker threads.
-// The acceptor admits connections into a bounded FIFO (the admission
-// queue — the same bounded-queue backpressure idea as
-// mapred::ThreadPool); each worker pops one connection and owns it for
-// its whole keep-alive lifetime, so a request never migrates threads and
-// per-connection state needs no locking. Pipelined requests on one
-// connection are answered in order from the same buffer.
+// Threading model: one acceptor thread plus a ThreadPool of `workers`
+// threads whose bounded task queue (`max_pending`) is the admission
+// queue. The acceptor submits each accepted connection as one pool task;
+// the task owns the connection for its whole keep-alive lifetime, so a
+// request never migrates threads and per-connection state needs no
+// locking. Pipelined requests on one connection are answered in order
+// from the same buffer. Connection tasks count in cellscope.mapred.* and
+// show up as pool.queue_wait spans like every other pool task.
 //
 // Admission control (the shedding policy the fault drill pins):
-//   * queue full at accept        -> 503 + close, cellscope.server.shed_503
+//   * pool queue full at accept   -> 503 + close, cellscope.server.shed_503
 //     (connection-level shed: the client never got a worker)
 //   * queue still full when a worker is about to serve a request
 //                                 -> 429 + Connection: close, shed_429
@@ -28,19 +30,20 @@
 // traffic.
 //
 // stop() closes the listen socket, shuts down every live connection,
-// drains the admission queue with 503s, joins all threads, and evaluates
-// the server.* quality sentinels (error ratio, shed ratio, partial
-// replies) over this instance's delta of the process-global counters.
+// destroys the pool — whose drain answers still-queued connections with
+// 503 "server shutting down" — and evaluates the server.* quality
+// sentinels (error ratio, shed ratio, partial replies) over this
+// instance's delta of the process-global counters.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
+#include "mapred/thread_pool.h"
 #include "server/query_service.h"
 
 namespace cellscope::server {
@@ -52,8 +55,9 @@ struct ServerConfig {
   /// Worker threads; each owns one connection at a time, so this is also
   /// the maximum number of concurrently-served connections.
   std::size_t workers = 4;
-  /// Admission-queue capacity: connections accepted but not yet claimed
-  /// by a worker. Beyond it the acceptor sheds with 503.
+  /// Admission-queue capacity (the pool's task-queue bound): connections
+  /// accepted but not yet claimed by a worker. Beyond it the acceptor
+  /// sheds with 503.
   std::size_t max_pending = 64;
   /// recv() timeout per read; an idle keep-alive connection is closed
   /// after this long (also bounds how long stop() can be held up).
@@ -69,7 +73,7 @@ class QueryServer {
   explicit QueryServer(QueryService& service, ServerConfig config = {});
   ~QueryServer();  ///< calls stop()
 
-  /// Binds 127.0.0.1:<port>, starts the acceptor and workers. Throws
+  /// Binds 127.0.0.1:<port>, starts the acceptor and worker pool. Throws
   /// IoError when the socket cannot be bound.
   void start();
 
@@ -89,13 +93,10 @@ class QueryServer {
 
  private:
   void accept_loop();
-  void worker_loop();
-  void serve_connection(int fd);
-  /// Admission-queue depth right now (the 429 saturation signal).
-  std::size_t queue_depth() const;
-  /// Best-effort framed reply + close, for sheds and parse rejections on
-  /// connections no worker owns.
-  void reply_and_close(int fd, const HttpResponse& response);
+  /// One admitted connection, run as a pool task: serves it, or answers
+  /// 503 when stop() has begun. Never throws.
+  void run_connection(const ThreadPool& pool, int fd);
+  void serve_connection(const ThreadPool& pool, int fd);
   /// write()s the whole frame, honoring the reply.partial failpoint.
   /// Returns false when the write was truncated or failed.
   bool write_frame(int fd, const std::string& frame);
@@ -107,15 +108,14 @@ class QueryServer {
   std::atomic<bool> running_{false};
   std::atomic<bool> stopping_{false};
 
-  mutable std::mutex queue_mutex_;
-  std::condition_variable queue_cv_;
-  std::deque<int> admission_queue_;  // accepted fds awaiting a worker
-
   std::mutex active_mutex_;
   std::vector<int> active_fds_;  // connections currently owned by workers
 
   std::thread acceptor_;
-  std::vector<std::thread> workers_;
+  /// Workers + admission queue; lives from start() to stop(). Tasks get
+  /// the pool by reference, never through this pointer, which stop()
+  /// resets while leftover tasks drain.
+  std::unique_ptr<ThreadPool> pool_;
 
   /// Counter values at start(), for delta-based sentinels (the metrics
   /// are process-global and several servers may run in one process).

@@ -53,6 +53,17 @@ TEST(Json, RejectsMalformedDocuments) {
   EXPECT_THROW(JsonValue::parse("\"unterminated"), InvalidArgument);
 }
 
+TEST(Json, BoundsNestingDepth) {
+  // Moderate nesting still parses...
+  const auto nested = JsonValue::parse(std::string(64, '[') +
+                                       std::string(64, ']'));
+  EXPECT_TRUE(nested.is_array());
+  // ...but a 150 000-deep '[' run is a typed rejection, not a stack
+  // overflow (the body POST /classify used to crash the daemon with).
+  EXPECT_THROW(JsonValue::parse(std::string(150000, '[')), InvalidArgument);
+  EXPECT_THROW(JsonValue::parse(std::string(150000, '{')), InvalidArgument);
+}
+
 TEST(Json, AccessorMismatchesThrow) {
   const auto v = JsonValue::parse("[1]");
   EXPECT_THROW(v.as_object(), InvalidArgument);

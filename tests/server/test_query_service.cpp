@@ -263,6 +263,16 @@ TEST_F(QueryServiceTest, ClassifyPostRejectsDamage) {
             400);
 }
 
+TEST_F(QueryServiceTest, ClassifyPostRejectsDeepNestingWith400) {
+  // 150 000 '[' used to recurse the JSON parser into a stack overflow
+  // that killed the daemon; it must be an ordinary 400 instead.
+  service.publish_model(make_classifier());
+  const auto response = service.dispatch(
+      post_request("/classify", std::string(150000, '[')));
+  EXPECT_EQ(response.status, 400);
+  EXPECT_NE(response.body.find("malformed JSON"), std::string::npos);
+}
+
 TEST_F(QueryServiceTest, RoutingEdges) {
   service.publish_model(make_classifier());
   EXPECT_EQ(service.dispatch(get_request("/towers/99/class")).status, 404);

@@ -353,5 +353,40 @@ TEST(QueryServerConcurrent, SaturationSheds503AtAcceptAnd429InBand) {
   server.stop();
 }
 
+// stop() answers connections still waiting in the pool's queue with a
+// typed 503 instead of a reset: A holds the only worker, B waits behind
+// it, and B's request gets "server shutting down" once stop() begins.
+TEST(QueryServerConcurrent, StopAnswersQueuedConnectionsWith503) {
+  ThreadPool pool(2);
+  StreamIngestor ingestor;
+  QueryService service(ingestor, &pool);
+
+  ServerConfig config;
+  config.workers = 1;
+  config.max_pending = 1;
+  QueryServer server(service, config);
+  server.start();
+
+  BlockingHttpClient a(server.port());
+  a.get_burst("/stats", 0);  // connect without sending: parks the worker
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+
+  BlockingHttpClient b(server.port());
+  ClientResponse b_response;
+  std::thread b_request([&] {
+    try {
+      b_response = b.get("/stats");
+    } catch (const IoError&) {
+      // Left at status 0: the expectations below report it.
+    }
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+
+  server.stop();
+  b_request.join();
+  EXPECT_EQ(b_response.status, 503);
+  EXPECT_NE(b_response.body.find("server shutting down"), std::string::npos);
+}
+
 }  // namespace
 }  // namespace cellscope::server
