@@ -1,9 +1,9 @@
 #include "mapred/thread_pool.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <exception>
 
+#include "common/env.h"
 #include "common/error.h"
 #include "common/failpoint.h"
 #include "obs/metrics.h"
@@ -188,14 +188,8 @@ std::size_t default_thread_count() {
 }
 
 std::size_t configured_thread_count() {
-  const char* env = std::getenv("CELLSCOPE_THREADS");
-  if (env != nullptr && *env != '\0') {
-    char* end = nullptr;
-    const unsigned long parsed = std::strtoul(env, &end, 10);
-    if (end != nullptr && *end == '\0' && parsed >= 1)
-      return static_cast<std::size_t>(parsed);
-  }
-  return default_thread_count();
+  return env_count("CELLSCOPE_THREADS", default_thread_count(), 1,
+                   kMaxConfiguredThreads);
 }
 
 }  // namespace cellscope

@@ -125,10 +125,13 @@ class ThreadPool {
 /// MapReduce path is genuinely concurrent even on single-core CI).
 std::size_t default_thread_count();
 
+/// Largest CELLSCOPE_THREADS value configured_thread_count() accepts.
+inline constexpr std::size_t kMaxConfiguredThreads = 1024;
+
 /// Worker count for the analytics pools: the CELLSCOPE_THREADS environment
-/// variable when set to a positive integer, otherwise
-/// default_thread_count(). CELLSCOPE_THREADS=1 forces the serial path —
-/// results are bit-identical either way (DESIGN.md §8).
+/// variable when set to an integer in [1, kMaxConfiguredThreads],
+/// otherwise default_thread_count(). CELLSCOPE_THREADS=1 forces the
+/// serial path — results are bit-identical either way (DESIGN.md §8).
 std::size_t configured_thread_count();
 
 }  // namespace cellscope

@@ -1,18 +1,16 @@
 #include "obs/trace_sample.h"
 
-#include <cstdlib>
+#include <limits>
+
+#include "common/env.h"
 
 namespace cellscope::obs {
 
 TraceSampler::TraceSampler() {
-  const char* env = std::getenv("CELLSCOPE_TRACE_SAMPLE");
-  if (env == nullptr || *env == '\0') return;
-  char* end = nullptr;
-  const unsigned long parsed = std::strtoul(env, &end, 10);
-  if (end != nullptr && *end == '\0' && parsed >= 1 &&
-      parsed <= 0xFFFFFFFFUL)
-    every_.store(static_cast<std::uint32_t>(parsed),
-                 std::memory_order_relaxed);
+  every_.store(static_cast<std::uint32_t>(env_count(
+                   "CELLSCOPE_TRACE_SAMPLE", 0, 1,
+                   std::numeric_limits<std::uint32_t>::max())),
+               std::memory_order_relaxed);
 }
 
 TraceSampler& TraceSampler::instance() {

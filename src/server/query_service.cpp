@@ -314,7 +314,7 @@ HttpResponse QueryService::handle_classify(const HttpRequest& request) const {
   if (folded.size() != static_cast<std::size_t>(TimeGrid::kSlotsPerWeek))
     return error_response(400, "folded week must have 1008 slots");
 
-  // Nearest folded-week centroid — the same ANN-backed scoring rule
+  // Nearest folded-week centroid — the same scoring rule
   // OnlineClassifier::classify applies to a live window.
   const ModelSnapshot& snapshot = classifier->model();
   double best = 0.0;

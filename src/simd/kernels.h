@@ -10,9 +10,9 @@
 #include <complex>
 #include <cstddef>
 
-// CELLSCOPE_SIMD_ENABLE_AVX2 / _NEON are defined by src/simd/CMakeLists
-// for the whole cs_simd target exactly when the matching kernel TU is
-// built with its ISA flags — declarations, definitions, and dispatch
+// CELLSCOPE_SIMD_ENABLE_AVX2 is defined by src/simd/CMakeLists for the
+// whole cs_simd target exactly when the AVX2 kernel TU is built with its
+// ISA flags — declarations, definitions, and dispatch
 // cases all key off the same macro, so a flag/arch mismatch is a compile
 // error instead of a silent illegal-instruction time bomb.
 
@@ -41,20 +41,6 @@ void fold_mean_avx2(const double* row, std::size_t period, std::size_t folds,
 void fft_butterfly_avx2(std::complex<double>* a, std::complex<double>* b,
                         const std::complex<double>* w, std::size_t half);
 void complex_multiply_avx2(const std::complex<double>* x,
-                           const std::complex<double>* y,
-                           std::complex<double>* out, std::size_t n);
-#endif
-
-#ifdef CELLSCOPE_SIMD_ENABLE_NEON
-void dot4_neon(const double* a, const double* packed, std::size_t dim,
-               double out[4]);
-void normalize_neon(const double* v, std::size_t n, double mean, double sd,
-                    double* out);
-void fold_mean_neon(const double* row, std::size_t period, std::size_t folds,
-                    double* out);
-void fft_butterfly_neon(std::complex<double>* a, std::complex<double>* b,
-                        const std::complex<double>* w, std::size_t half);
-void complex_multiply_neon(const std::complex<double>* x,
                            const std::complex<double>* y,
                            std::complex<double>* out, std::size_t n);
 #endif

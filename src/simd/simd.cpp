@@ -14,9 +14,6 @@ Isa detect() {
 #ifdef CELLSCOPE_SIMD_ENABLE_AVX2
   if (detail::cpu_has_avx2()) return Isa::kAvx2;
 #endif
-#ifdef CELLSCOPE_SIMD_ENABLE_NEON
-  return Isa::kNeon;  // NEON is architectural on aarch64
-#endif
   return Isa::kScalar;
 }
 
@@ -46,7 +43,7 @@ Isa env_isa() {
       if (std::string_view(spec) != "auto")
         std::fprintf(stderr,
                      "cellscope: ignoring CELLSCOPE_SIMD='%s' (expected "
-                     "scalar|neon|avx2|auto)\n",
+                     "scalar|avx2|auto)\n",
                      spec);
       return detected_isa();
     }
@@ -85,8 +82,6 @@ std::string_view isa_name(Isa isa) {
   switch (isa) {
     case Isa::kScalar:
       return "scalar";
-    case Isa::kNeon:
-      return "neon";
     case Isa::kAvx2:
       return "avx2";
   }
@@ -95,7 +90,6 @@ std::string_view isa_name(Isa isa) {
 
 std::optional<Isa> parse_isa(std::string_view name) {
   if (name == "scalar") return Isa::kScalar;
-  if (name == "neon") return Isa::kNeon;
   if (name == "avx2") return Isa::kAvx2;
   return std::nullopt;  // "auto", "", or unknown
 }
@@ -106,10 +100,6 @@ void dot4(const double* a, const double* packed, std::size_t dim,
 #ifdef CELLSCOPE_SIMD_ENABLE_AVX2
     case Isa::kAvx2:
       return detail::dot4_avx2(a, packed, dim, out);
-#endif
-#ifdef CELLSCOPE_SIMD_ENABLE_NEON
-    case Isa::kNeon:
-      return detail::dot4_neon(a, packed, dim, out);
 #endif
     default:
       return detail::dot4_scalar(a, packed, dim, out);
@@ -123,10 +113,6 @@ void normalize(const double* v, std::size_t n, double mean, double sd,
     case Isa::kAvx2:
       return detail::normalize_avx2(v, n, mean, sd, out);
 #endif
-#ifdef CELLSCOPE_SIMD_ENABLE_NEON
-    case Isa::kNeon:
-      return detail::normalize_neon(v, n, mean, sd, out);
-#endif
     default:
       return detail::normalize_scalar(v, n, mean, sd, out);
   }
@@ -138,10 +124,6 @@ void fold_mean(const double* row, std::size_t period, std::size_t folds,
 #ifdef CELLSCOPE_SIMD_ENABLE_AVX2
     case Isa::kAvx2:
       return detail::fold_mean_avx2(row, period, folds, out);
-#endif
-#ifdef CELLSCOPE_SIMD_ENABLE_NEON
-    case Isa::kNeon:
-      return detail::fold_mean_neon(row, period, folds, out);
 #endif
     default:
       return detail::fold_mean_scalar(row, period, folds, out);
@@ -155,10 +137,6 @@ void fft_butterfly(std::complex<double>* a, std::complex<double>* b,
     case Isa::kAvx2:
       return detail::fft_butterfly_avx2(a, b, w, half);
 #endif
-#ifdef CELLSCOPE_SIMD_ENABLE_NEON
-    case Isa::kNeon:
-      return detail::fft_butterfly_neon(a, b, w, half);
-#endif
     default:
       return detail::fft_butterfly_scalar(a, b, w, half);
   }
@@ -171,10 +149,6 @@ void complex_multiply(const std::complex<double>* x,
 #ifdef CELLSCOPE_SIMD_ENABLE_AVX2
     case Isa::kAvx2:
       return detail::complex_multiply_avx2(x, y, out, n);
-#endif
-#ifdef CELLSCOPE_SIMD_ENABLE_NEON
-    case Isa::kNeon:
-      return detail::complex_multiply_neon(x, y, out, n);
 #endif
     default:
       return detail::complex_multiply_scalar(x, y, out, n);

@@ -4,9 +4,9 @@
 // pairwise-distance tile, per-row z-score normalization, the mean-week
 // fold, and the radix-2/Bluestein FFT inner loops — all dispatch through
 // this layer (DESIGN.md §12). The widest instruction set the CPU supports
-// is picked once at startup via cpuid (AVX2 on x86-64, NEON on aarch64),
-// overridable with CELLSCOPE_SIMD=scalar|avx2|neon|auto or force_isa()
-// from tests.
+// is picked once at startup via cpuid (AVX2 on x86-64; every other target
+// runs the scalar reference), overridable with
+// CELLSCOPE_SIMD=scalar|avx2|auto or force_isa() from tests.
 //
 // The bit-compatibility contract: every kernel is vectorized WITHOUT
 // reassociating any floating-point reduction. Reductions keep their
@@ -34,8 +34,7 @@ namespace cellscope::simd {
 /// comparisons (a > b) mean "wider than".
 enum class Isa {
   kScalar = 0,
-  kNeon = 1,
-  kAvx2 = 2,
+  kAvx2 = 1,
 };
 
 /// Widest ISA this CPU supports (detected once; cpuid on x86-64).
@@ -52,10 +51,10 @@ Isa active_isa();
 /// kernels — flip it only from single-threaded test setup.
 void force_isa(std::optional<Isa> isa);
 
-/// "scalar" | "neon" | "avx2".
+/// "scalar" | "avx2".
 std::string_view isa_name(Isa isa);
 
-/// Parses "scalar" / "neon" / "avx2"; "auto" or "" yields nullopt
+/// Parses "scalar" / "avx2"; "auto" or "" yields nullopt
 /// (= use detected); any other spelling also yields nullopt.
 std::optional<Isa> parse_isa(std::string_view name);
 

@@ -1,9 +1,9 @@
 #include "stream/ingestor.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <limits>
 
+#include "common/env.h"
 #include "common/error.h"
 #include "obs/introspect.h"
 #include "obs/log.h"
@@ -14,17 +14,6 @@
 namespace cellscope {
 
 namespace {
-
-std::size_t env_size(const char* name, std::size_t fallback) {
-  const char* env = std::getenv(name);
-  if (env != nullptr && *env != '\0') {
-    char* end = nullptr;
-    const unsigned long parsed = std::strtoul(env, &end, 10);
-    if (end != nullptr && *end == '\0' && parsed >= 1)
-      return static_cast<std::size_t>(parsed);
-  }
-  return fallback;
-}
 
 /// Sampling identity of a record: a pure function of its content, so the
 /// same record makes the same trace decision at every stage with no state
@@ -49,9 +38,10 @@ constexpr std::size_t kMaxSampledAwaiting = 256;
 
 StreamConfig StreamConfig::from_env() {
   StreamConfig config;
-  config.n_shards = env_size("CELLSCOPE_STREAM_SHARDS", config.n_shards);
-  config.queue_capacity =
-      env_size("CELLSCOPE_STREAM_QUEUE", config.queue_capacity);
+  config.n_shards = env_count("CELLSCOPE_STREAM_SHARDS", config.n_shards, 1,
+                              kMaxShards);
+  config.queue_capacity = env_count("CELLSCOPE_STREAM_QUEUE",
+                                    config.queue_capacity, 1, kMaxQueue);
   return config;
 }
 

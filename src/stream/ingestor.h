@@ -70,8 +70,13 @@ struct StreamConfig {
   /// the ring keeps four weeks — the counter feeds the lateness sentinel.
   std::uint32_t max_lateness_minutes = 120;
 
-  /// Reads CELLSCOPE_STREAM_SHARDS and CELLSCOPE_STREAM_QUEUE (positive
-  /// integers) over the defaults above.
+  /// Largest values from_env() accepts: each shard owns its windows and
+  /// a pending queue, so both knobs size memory.
+  static constexpr std::size_t kMaxShards = 1024;
+  static constexpr std::size_t kMaxQueue = std::size_t{1} << 24;
+
+  /// Reads CELLSCOPE_STREAM_SHARDS (1..kMaxShards) and
+  /// CELLSCOPE_STREAM_QUEUE (1..kMaxQueue) over the defaults above.
   static StreamConfig from_env();
 };
 

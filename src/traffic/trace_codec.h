@@ -1,11 +1,10 @@
-// Pluggable trace codecs: one reader/writer interface over the CSV,
-// sequential-binary, and mmap backends.
+// Pluggable trace codecs: one reader/writer interface over the two trace
+// formats, CSV text and the columnar binary.
 //
-// Callers pick a backend with an explicit TraceCodec or let kAuto route
+// Callers pick a format with an explicit TraceCodec or let kAuto route
 // by extension: ".csv" is the text format, ".ctb"/".bin" the columnar
-// binary (traffic/columnar.h) — read through the mmap backend by
-// default, since indexed mapped access is strictly better than a
-// sequential read of the same bytes. The streaming interface hands out
+// binary (traffic/columnar.h), read through the mapped, indexed reader
+// (traffic/trace_mmap.h). The streaming interface hands out
 // bounded batches, so every consumer — conversion tools, the stream
 // replay harness, tests — can process a trace far larger than RAM
 // without ever holding more than one batch of records.
@@ -25,12 +24,11 @@
 
 namespace cellscope {
 
-/// Backend selector. kAuto routes by file extension.
+/// Format selector. kAuto routes by file extension.
 enum class TraceCodec {
-  kAuto,    ///< by extension: .csv -> kCsv, .ctb/.bin -> kMmap (read) / kBinary (write)
+  kAuto,    ///< by extension: .csv -> kCsv, .ctb/.bin -> kBinary
   kCsv,     ///< text CSV (trace_io.h format)
-  kBinary,  ///< columnar binary via buffered sequential reads
-  kMmap,    ///< columnar binary via the mapped, indexed reader
+  kBinary,  ///< columnar binary, read through the mapped, indexed reader
 };
 
 /// The codec kAuto resolves to for `path` in read position.
@@ -48,14 +46,14 @@ class TraceReader {
   virtual bool next_batch(std::vector<TrafficLog>& out) = 0;
 
   /// Total records in the trace when the format indexes it (columnar
-  /// backends); nullopt for CSV, which only knows at EOF.
+  /// reader); nullopt for CSV, which only knows at EOF.
   virtual std::optional<std::uint64_t> record_count() const {
     return std::nullopt;
   }
 };
 
 /// Streaming record sink. finish() finalizes the file (footer index for
-/// the columnar backend); the destructor finishes best-effort.
+/// the columnar writer); the destructor finishes best-effort.
 class TraceWriter {
  public:
   virtual ~TraceWriter() = default;
@@ -64,20 +62,20 @@ class TraceWriter {
 };
 
 /// Opens a streaming reader; `batch_records` bounds batch sizes for the
-/// CSV backend (columnar backends batch per chunk). Throws IoError when
+/// CSV reader (the columnar reader batches per chunk). Throws IoError when
 /// the file cannot be opened or its structure is invalid.
 std::unique_ptr<TraceReader> open_trace_reader(
     const std::string& path, TraceCodec codec = TraceCodec::kAuto,
     std::size_t batch_records = 65536);
 
 /// Opens a streaming writer; `chunk_records` sizes columnar chunks (the
-/// CSV backend ignores it).
+/// CSV writer ignores it).
 std::unique_ptr<TraceWriter> open_trace_writer(
     const std::string& path, TraceCodec codec = TraceCodec::kAuto,
     std::size_t chunk_records = 65536);
 
 /// Whole-file read through the selected codec (malformed rows / corrupt
-/// chunks are skipped and counted per the backend's contract).
+/// chunks are skipped and counted per the format's contract).
 std::vector<TrafficLog> read_trace(const std::string& path,
                                    TraceCodec codec = TraceCodec::kAuto);
 

@@ -59,8 +59,7 @@ TEST_F(IoFaultTest, ReadFailpointSurfacesAsIoErrorOnEveryBackend) {
   write_trace(path("t.csv"), logs);
   write_trace_bin(path("t.ctb"), logs);
 
-  for (const auto codec :
-       {TraceCodec::kCsv, TraceCodec::kBinary, TraceCodec::kMmap}) {
+  for (const auto codec : {TraceCodec::kCsv, TraceCodec::kBinary}) {
     const std::string& file =
         codec == TraceCodec::kCsv ? path("t.csv") : path("t.ctb");
     fp::arm("trace.read.fail", 1);
@@ -68,7 +67,7 @@ TEST_F(IoFaultTest, ReadFailpointSurfacesAsIoErrorOnEveryBackend) {
     // One charge: the retry goes clean.
     EXPECT_EQ(read_trace(file, codec), logs);
   }
-  EXPECT_EQ(fp::fire_count("trace.read.fail"), 3u);
+  EXPECT_EQ(fp::fire_count("trace.read.fail"), 2u);
 }
 
 TEST_F(IoFaultTest, WriteFailpointSurfacesAsIoError) {
@@ -94,7 +93,7 @@ TEST_F(IoFaultTest, InjectedCrcMismatchIsSkippedAndCounted) {
 
   const auto corrupt_before = columnar::io_metrics().chunks_corrupt->value();
   fp::arm("trace.chunk.corrupt", 2);  // first two chunks fail their CRC
-  const auto decoded = read_trace(path("t.ctb"), TraceCodec::kMmap);
+  const auto decoded = read_trace(path("t.ctb"), TraceCodec::kBinary);
   EXPECT_EQ(fp::fire_count("trace.chunk.corrupt"), 2u);
   EXPECT_EQ(decoded.size(), logs.size() - 128);
   EXPECT_EQ(columnar::io_metrics().chunks_corrupt->value(),

@@ -1,11 +1,12 @@
 // The pluggable codec layer (traffic/trace_codec.h): extension routing,
-// cross-backend read identity, csv -> bin -> csv byte identity, and a
+// CSV vs columnar read identity, csv -> bin -> csv byte identity, and a
 // systematic corruption sweep over the binary format — every bit flip
 // and truncation must end in IoError or skip-and-count, never a crash.
 #include "traffic/trace_codec.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -71,30 +72,26 @@ void spit(const std::string& file, const std::string& bytes) {
 
 TEST_F(TraceCodecTest, RoutesByExtension) {
   EXPECT_EQ(trace_codec_for_path("trace.csv"), TraceCodec::kCsv);
-  EXPECT_EQ(trace_codec_for_path("/data/day01.ctb"), TraceCodec::kMmap);
-  EXPECT_EQ(trace_codec_for_path("day01.bin"), TraceCodec::kMmap);
+  EXPECT_EQ(trace_codec_for_path("/data/day01.ctb"), TraceCodec::kBinary);
+  EXPECT_EQ(trace_codec_for_path("day01.bin"), TraceCodec::kBinary);
   EXPECT_EQ(trace_codec_for_path("noext"), TraceCodec::kCsv);
   EXPECT_EQ(trace_codec_for_path("weird.tsv"), TraceCodec::kCsv);
 }
 
-TEST_F(TraceCodecTest, AllThreeBackendsReadIdenticalRecords) {
+TEST_F(TraceCodecTest, CsvAndColumnarReadIdenticalRecords) {
   const auto logs = sample_logs(4000);
   write_trace(path("t.csv"), logs);
-  write_trace(path("t.ctb"), logs, TraceCodec::kBinary);
+  write_trace(path("t.ctb"), logs);
 
-  const auto via_csv = read_trace(path("t.csv"), TraceCodec::kCsv);
-  const auto via_seq = read_trace(path("t.ctb"), TraceCodec::kBinary);
-  const auto via_map = read_trace(path("t.ctb"), TraceCodec::kMmap);
-  EXPECT_EQ(via_csv, logs);
-  EXPECT_EQ(via_seq, logs);
-  EXPECT_EQ(via_map, logs);
+  EXPECT_EQ(read_trace(path("t.csv"), TraceCodec::kCsv), logs);
+  EXPECT_EQ(read_trace(path("t.ctb"), TraceCodec::kBinary), logs);
 }
 
 TEST_F(TraceCodecTest, StreamingReadersBatchAndReportCounts) {
   const auto logs = sample_logs(1000);
   write_trace(path("t.ctb"), logs, TraceCodec::kBinary);
 
-  auto reader = open_trace_reader(path("t.ctb"), TraceCodec::kMmap);
+  auto reader = open_trace_reader(path("t.ctb"), TraceCodec::kBinary);
   ASSERT_TRUE(reader->record_count().has_value());
   EXPECT_EQ(*reader->record_count(), logs.size());
 
@@ -133,30 +130,41 @@ TEST_F(TraceCodecTest, LegacyEntryPointsStillWork) {
 }
 
 TEST_F(TraceCodecTest, BitFlipSweepNeverCrashes) {
-  const auto logs = sample_logs(200);
-  write_trace_bin(path("good.ctb"), logs, 64);
+  constexpr std::size_t kChunk = 64;
+  const auto logs = sample_logs(200);  // chunks of 64, 64, 64 and 8
+  write_trace_bin(path("good.ctb"), logs, kChunk);
   const std::string good = slurp(path("good.ctb"));
   ASSERT_GT(good.size(), columnar::kHeaderBytes + columnar::kTrailerBytes);
 
+  const obs::Counter& corrupt = *columnar::io_metrics().chunks_corrupt;
   std::size_t io_errors = 0, skipped_reads = 0, clean_reads = 0;
   for (std::size_t pos = 0; pos < good.size(); ++pos) {
     std::string bad = good;
     bad[pos] = static_cast<char>(bad[pos] ^ (1 << (pos % 8)));
     spit(path("bad.ctb"), bad);
+    const auto corrupt_before = corrupt.value();
     try {
-      // Sequential and mapped backends share the corruption contract.
-      const auto via_map = read_trace(path("bad.ctb"), TraceCodec::kMmap);
-      const auto via_seq = read_trace(path("bad.ctb"), TraceCodec::kBinary);
-      EXPECT_EQ(via_map, via_seq) << "flip at byte " << pos;
-      EXPECT_LE(via_map.size(), logs.size()) << "flip at byte " << pos;
-      if (via_map.size() == logs.size()) {
-        // A flip that left every record intact can only have hit
-        // redundant structure bytes; the records must be unchanged.
-        EXPECT_EQ(via_map, logs) << "flip at byte " << pos;
-        ++clean_reads;
-      } else {
-        ++skipped_reads;
+      const auto decoded = read_trace(path("bad.ctb"), TraceCodec::kBinary);
+      // Oracle: the original records with whole chunks removed, in
+      // order, and one corrupt-chunk count per chunk removed.
+      std::size_t at = 0;
+      std::size_t removed = 0;
+      for (std::size_t begin = 0; begin < logs.size(); begin += kChunk) {
+        const std::size_t len = std::min(kChunk, logs.size() - begin);
+        if (at + len <= decoded.size() &&
+            std::equal(logs.begin() + begin, logs.begin() + begin + len,
+                       decoded.begin() + at))
+          at += len;
+        else
+          ++removed;
       }
+      EXPECT_EQ(at, decoded.size()) << "flip at byte " << pos;
+      EXPECT_EQ(corrupt.value() - corrupt_before, removed)
+          << "flip at byte " << pos;
+      if (removed == 0)
+        ++clean_reads;
+      else
+        ++skipped_reads;
     } catch (const IoError&) {
       ++io_errors;  // structural damage: header / footer / trailer
     }
@@ -177,9 +185,7 @@ TEST_F(TraceCodecTest, TruncationSweepNeverCrashes) {
   for (std::size_t len = 0; len < good.size(); ++len) {
     spit(path("cut.ctb"), good.substr(0, len));
     // Any truncation removes the trailer, so the file must be rejected
-    // as structurally damaged by both binary backends.
-    EXPECT_THROW(read_trace(path("cut.ctb"), TraceCodec::kMmap), IoError)
-        << "truncated to " << len;
+    // as structurally damaged.
     EXPECT_THROW(read_trace(path("cut.ctb"), TraceCodec::kBinary), IoError)
         << "truncated to " << len;
   }
@@ -200,7 +206,7 @@ TEST_F(TraceCodecTest, CorruptChunkIsSkippedAndCounted) {
   spit(path("t.ctb"), bytes);
 
   const auto corrupt_before = columnar::io_metrics().chunks_corrupt->value();
-  const auto decoded = read_trace(path("t.ctb"), TraceCodec::kMmap);
+  const auto decoded = read_trace(path("t.ctb"), TraceCodec::kBinary);
   EXPECT_EQ(decoded.size(), logs.size() - entry.n_records);
   EXPECT_EQ(columnar::io_metrics().chunks_corrupt->value(),
             corrupt_before + 1);

@@ -119,6 +119,22 @@ TEST(ThreadPool, DefaultThreadCountIsAtLeastTwo) {
   EXPECT_GE(default_thread_count(), 2u);
 }
 
+TEST(ThreadPool, ConfiguredThreadCountRejectsMalformedKnobs) {
+  ::setenv("CELLSCOPE_THREADS", "3", 1);
+  EXPECT_EQ(configured_thread_count(), 3u);
+  // A negative, overflowing or padded value must never size the pool.
+  for (const char* spec : {"-1", "99999999999999999999999", " 3", "0", "abc",
+                           "1025"}) {
+    ::setenv("CELLSCOPE_THREADS", spec, 1);
+    EXPECT_EQ(configured_thread_count(), default_thread_count())
+        << "'" << spec << "'";
+  }
+  ::setenv("CELLSCOPE_THREADS", "-1", 1);
+  ThreadPool pool(configured_thread_count());
+  EXPECT_EQ(pool.thread_count(), default_thread_count());
+  ::unsetenv("CELLSCOPE_THREADS");
+}
+
 TEST(ThreadPool, UnboundedTrySubmitAlwaysAccepts) {
   ThreadPool pool(2);
   EXPECT_EQ(pool.max_queue(), 0u);

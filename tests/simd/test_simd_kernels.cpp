@@ -76,7 +76,7 @@ TEST(SimdKernels, Dot4MatchesSequentialDotOracle) {
 }
 
 TEST(SimdKernels, NormalizeMatchesElementwiseOracle) {
-  // Every remainder class of the 4-wide (AVX2) and 2-wide (NEON) loops.
+  // Every remainder class of the 4-wide (AVX2) loop.
   for (std::size_t n = 1; n <= 9; ++n) {
     const auto v = random_doubles(n, 23);
     const double mean = 0.375;
@@ -228,8 +228,7 @@ TEST(SimdKernels, NonFiniteInputsBitIdenticalAcrossIsas) {
 }
 
 TEST(SimdDispatch, NamesRoundTripAndUnknownsRejected) {
-  for (const simd::Isa isa :
-       {simd::Isa::kScalar, simd::Isa::kNeon, simd::Isa::kAvx2}) {
+  for (const simd::Isa isa : {simd::Isa::kScalar, simd::Isa::kAvx2}) {
     const auto parsed = simd::parse_isa(simd::isa_name(isa));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, isa);
@@ -237,6 +236,7 @@ TEST(SimdDispatch, NamesRoundTripAndUnknownsRejected) {
   EXPECT_FALSE(simd::parse_isa("auto").has_value());
   EXPECT_FALSE(simd::parse_isa("").has_value());
   EXPECT_FALSE(simd::parse_isa("avx512").has_value());
+  EXPECT_FALSE(simd::parse_isa("neon").has_value());
 }
 
 TEST(SimdDispatch, ForceIsaOverridesAndClampsToHardware) {
@@ -246,11 +246,14 @@ TEST(SimdDispatch, ForceIsaOverridesAndClampsToHardware) {
     EXPECT_EQ(simd::active_isa(), simd::Isa::kScalar);
   }
   // A request for an ISA this CPU lacks must clamp to what it has —
-  // never dispatch into unsupported instructions.
-  const simd::Isa foreign = detected == simd::Isa::kAvx2 ? simd::Isa::kNeon
-                                                         : simd::Isa::kAvx2;
+  // never dispatch into unsupported instructions. Only a CPU without
+  // AVX2 lacks one to request.
+  if (detected != simd::Isa::kAvx2) {
+    ForcedIsa forced(simd::Isa::kAvx2);
+    EXPECT_EQ(simd::active_isa(), detected);
+  }
   {
-    ForcedIsa forced(foreign);
+    ForcedIsa forced(detected);
     EXPECT_EQ(simd::active_isa(), detected);
   }
   simd::force_isa(std::nullopt);

@@ -143,6 +143,33 @@ TEST(StreamIngestor, FromEnvReadsShardAndQueueKnobs) {
   EXPECT_EQ(defaults.queue_capacity, StreamConfig{}.queue_capacity);
 }
 
+TEST(StreamIngestor, FromEnvRejectsMalformedShardCounts) {
+  const StreamConfig defaults;
+  for (const char* spec : {"-1", "99999999999999999999999", " 3", "0", "abc"}) {
+    ::setenv("CELLSCOPE_STREAM_SHARDS", spec, 1);
+    ::setenv("CELLSCOPE_STREAM_QUEUE", spec, 1);
+    const auto config = StreamConfig::from_env();
+    EXPECT_EQ(config.n_shards, defaults.n_shards) << "'" << spec << "'";
+    EXPECT_EQ(config.queue_capacity, defaults.queue_capacity)
+        << "'" << spec << "'";
+    StreamIngestor ingestor(config);
+    EXPECT_EQ(ingestor.shard_stats().size(), defaults.n_shards);
+  }
+  // Each bound is inclusive; one past it falls back to the default.
+  ::setenv("CELLSCOPE_STREAM_SHARDS", "1024", 1);
+  ::setenv("CELLSCOPE_STREAM_QUEUE", "16777216", 1);
+  auto config = StreamConfig::from_env();
+  EXPECT_EQ(config.n_shards, StreamConfig::kMaxShards);
+  EXPECT_EQ(config.queue_capacity, StreamConfig::kMaxQueue);
+  ::setenv("CELLSCOPE_STREAM_SHARDS", "1025", 1);
+  ::setenv("CELLSCOPE_STREAM_QUEUE", "16777217", 1);
+  config = StreamConfig::from_env();
+  EXPECT_EQ(config.n_shards, defaults.n_shards);
+  EXPECT_EQ(config.queue_capacity, defaults.queue_capacity);
+  ::unsetenv("CELLSCOPE_STREAM_SHARDS");
+  ::unsetenv("CELLSCOPE_STREAM_QUEUE");
+}
+
 TEST(StreamIngestor, ConcurrentProducersConserveBytes) {
   StreamIngestor ingestor(StreamConfig{.n_shards = 4, .queue_capacity = 0});
   ThreadPool pool(2);

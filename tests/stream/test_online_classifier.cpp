@@ -6,6 +6,7 @@
 #include <cmath>
 #include <numbers>
 
+#include "common/error.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/time_grid.h"
@@ -204,34 +205,87 @@ TEST(OnlineClassifier, SnapshotOfTrainedExperimentIsSelfConsistent) {
   EXPECT_GT(agree, matrix.n() * 7 / 10);
 }
 
+/// The reference rule nearest_centroid must equal: ascending index,
+/// strict <, so ties keep the first (lowest) index.
+std::size_t exact_nearest(const std::vector<std::vector<double>>& centroids,
+                          std::span<const double> query, double* best_out) {
+  double best = squared_distance(query, centroids[0]);
+  std::size_t best_index = 0;
+  for (std::size_t c = 1; c < centroids.size(); ++c) {
+    const double d = squared_distance(query, centroids[c]);
+    if (d < best) {
+      best = d;
+      best_index = c;
+    }
+  }
+  *best_out = best;
+  return best_index;
+}
+
+/// `count` one-week centroids, centroid c centred on 10·c.
+ModelSnapshot blob_model(std::size_t count, std::uint64_t seed) {
+  Rng rng(seed);
+  ModelSnapshot model;
+  for (std::size_t c = 0; c < count; ++c) {
+    std::vector<double> centroid(kWeek);
+    for (auto& v : centroid) v = static_cast<double>(c) * 10.0 + rng.normal();
+    model.centroids.push_back(std::move(centroid));
+    model.regions.push_back(static_cast<FunctionalRegion>(c % 5));
+    model.populations.push_back(1 + c % 7);
+  }
+  return model;
+}
+
+/// Checks nearest_centroid against exact_nearest on `trials` queries
+/// scattered `spread` around the centroids in turn: same argmin, and the
+/// same distance bit for bit.
+void expect_exact_scan(const ModelSnapshot& model, std::size_t trials,
+                       double spread, std::uint64_t seed) {
+  const OnlineClassifier classifier(model);
+  const std::size_t k = model.centroids.size();
+  Rng rng(seed);
+  for (std::size_t trial = 0; trial < trials; ++trial) {
+    std::vector<double> query(kWeek);
+    const double center = static_cast<double>(trial % k) * 10.0;
+    for (auto& v : query) v = center + spread * rng.normal();
+    double want_best = 0.0;
+    const std::size_t want = exact_nearest(model.centroids, query, &want_best);
+    double got_best = 0.0;
+    EXPECT_EQ(classifier.nearest_centroid(query, &got_best), want)
+        << "trial " << trial;
+    EXPECT_EQ(got_best, want_best) << "trial " << trial;
+  }
+}
+
 TEST(OnlineClassifier, NearestCentroidMatchesExplicitScanOnSmallModels) {
-  // Small models (like the paper's five patterns) stay on the index's
-  // brute-force path — nearest_centroid must be the old classify loop
-  // exactly: same argmin, same strict-< first-index tie-break, same
-  // distance value bit for bit.
+  // nearest_centroid must be the classify loop exactly: same argmin, same
+  // strict-< first-index tie-break, same distance value bit for bit.
   const auto model = synthetic_model();
   const OnlineClassifier classifier(model);
   for (const auto profile : {office_bytes, resident_bytes}) {
     const auto folded = window_with(profile, TimeGrid::kSlots).folded_week();
-    double want_best = squared_distance(folded, model.centroids[0]);
-    std::size_t want = 0;
-    for (std::size_t c = 1; c < model.centroids.size(); ++c) {
-      const double d = squared_distance(folded, model.centroids[c]);
-      if (d < want_best) {
-        want_best = d;
-        want = c;
-      }
-    }
+    double want_best = 0.0;
+    const std::size_t want = exact_nearest(model.centroids, folded, &want_best);
     double got_best = 0.0;
     EXPECT_EQ(classifier.nearest_centroid(folded, &got_best), want);
     EXPECT_EQ(got_best, want_best);
   }
 }
 
+TEST(OnlineClassifier, SmallModelsStayExactScan) {
+  // The paper's five-pattern model, with queries that straddle centroids.
+  expect_exact_scan(blob_model(5, 1), 50, 3.0, 2);
+}
+
+TEST(OnlineClassifier, NearestCentroidMatchesExactScanOnLargeModels) {
+  // A model far wider than the paper's still answers by the exact scan.
+  expect_exact_scan(blob_model(200, 3), 200, 2.0, 4);
+}
+
 TEST(OnlineClassifier, AnnIndexAgreesWithExactScanOnLargeModels) {
-  // A model wide enough to cross brute_force_below builds the ANN graph;
-  // on separated centroids its answers still match the exact scan, and
-  // classify() keeps reporting exact distances.
+  // The name dates from an approximate index for wide models; it now pins
+  // that a 150-centroid model with closely spaced centroids (6 apart, not
+  // 10) still gets the exact scan's argmin and distance from classify's path.
   Rng rng(99);
   ModelSnapshot model;
   const std::size_t k = 150;
@@ -239,8 +293,7 @@ TEST(OnlineClassifier, AnnIndexAgreesWithExactScanOnLargeModels) {
     std::vector<double> centroid(kWeek);
     for (auto& v : centroid) v = static_cast<double>(c) * 6.0 + rng.normal();
     model.centroids.push_back(std::move(centroid));
-    model.regions.push_back(
-        static_cast<FunctionalRegion>(c % 5));
+    model.regions.push_back(static_cast<FunctionalRegion>(c % 5));
     model.populations.push_back(1 + c % 7);
   }
   const OnlineClassifier classifier(model);
@@ -248,20 +301,45 @@ TEST(OnlineClassifier, AnnIndexAgreesWithExactScanOnLargeModels) {
     std::vector<double> query(kWeek);
     const double center = static_cast<double>(trial % k) * 6.0;
     for (auto& v : query) v = center + 0.5 * rng.normal();
-    double want_best = squared_distance(query, model.centroids[0]);
-    std::size_t want = 0;
-    for (std::size_t c = 1; c < k; ++c) {
-      const double d = squared_distance(query, model.centroids[c]);
-      if (d < want_best) {
-        want_best = d;
-        want = c;
-      }
-    }
+    double want_best = 0.0;
+    const std::size_t want = exact_nearest(model.centroids, query, &want_best);
     double got_best = 0.0;
     EXPECT_EQ(classifier.nearest_centroid(query, &got_best), want)
         << "trial " << trial;
     EXPECT_EQ(got_best, want_best) << "trial " << trial;
   }
+}
+
+TEST(OnlineClassifier, TiesKeepTheLowestIndex) {
+  // Duplicate centroids: the first index wins, as the strict < applies.
+  const std::vector<double> a(kWeek, 1.0);
+  std::vector<double> b(kWeek, -4.0);
+  b[0] = 9.0;
+  ModelSnapshot model;
+  model.centroids = {b, a, a, b, a};
+  model.regions.assign(5, FunctionalRegion::kOffice);
+  model.populations.assign(5, 1);
+  const OnlineClassifier small(model);
+  EXPECT_EQ(small.nearest_centroid(a), 1u);
+  EXPECT_EQ(small.nearest_centroid(b), 0u);
+
+  model.centroids.clear();
+  for (int i = 0; i < 100; ++i) model.centroids.push_back(i % 2 == 0 ? a : b);
+  model.regions.assign(100, FunctionalRegion::kOffice);
+  model.populations.assign(100, 1);
+  const OnlineClassifier many(model);
+  EXPECT_EQ(many.nearest_centroid(a), 0u);
+  EXPECT_EQ(many.nearest_centroid(b), 1u);
+}
+
+TEST(OnlineClassifier, RejectsEmptyAndMismatchedInputs) {
+  EXPECT_THROW(OnlineClassifier classifier(ModelSnapshot{}), Error);
+  auto ragged = blob_model(2, 5);
+  ragged.centroids[1].pop_back();
+  EXPECT_THROW(OnlineClassifier classifier(ragged), Error);
+  const OnlineClassifier classifier(blob_model(3, 7));
+  const std::vector<double> wrong_dim = {1.0, 2.0};
+  EXPECT_THROW(classifier.nearest_centroid(wrong_dim), Error);
 }
 
 }  // namespace
