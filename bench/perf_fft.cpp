@@ -1,14 +1,15 @@
 // Perf/ablation: FFT implementations across transform sizes — iterative
 // radix-2 on powers of two, Bluestein on arbitrary sizes (including the
 // paper's N = 4032), and the naive O(N²) DFT as the baseline that makes
-// the fast paths' asymptotic win visible.
+// the fast paths' asymptotic win visible — plus the per-tower
+// frequency-feature stage, which reads three bins without a transform.
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
 
+#include "analysis/freq_features.h"
 #include "common/rng.h"
 #include "dsp/fft.h"
-#include "dsp/spectrum.h"
 
 namespace {
 
@@ -51,19 +52,19 @@ void BM_NaiveDft(benchmark::State& state) {
 }
 BENCHMARK(BM_NaiveDft)->RangeMultiplier(4)->Range(64, 1024)->Complexity();
 
-void BM_SpectrumFeatureExtraction(benchmark::State& state) {
-  // The per-tower cost of the frequency-feature stage: one 4032-point
-  // real FFT plus amplitude/phase reads.
+void BM_FreqFeatureExtraction(benchmark::State& state) {
+  // The per-tower cost of the frequency-feature stage: fold the
+  // 4032-slot series to its mean week and sum the three principal bins.
+  // (BM_FftBluestein/4032 times the full transform it replaces.)
   cellscope::Rng rng(7);
   std::vector<double> series(4032);
   for (auto& v : series) v = rng.normal();
   for (auto _ : state) {
-    cellscope::Spectrum spectrum(series);
-    benchmark::DoNotOptimize(spectrum.normalized_amplitude(28));
-    benchmark::DoNotOptimize(spectrum.phase(28));
+    auto features = cellscope::compute_freq_features(series);
+    benchmark::DoNotOptimize(features);
   }
 }
-BENCHMARK(BM_SpectrumFeatureExtraction);
+BENCHMARK(BM_FreqFeatureExtraction);
 
 }  // namespace
 

@@ -1,12 +1,16 @@
 #include "analysis/freq_features.h"
 
+#include <array>
 #include <cmath>
 #include <functional>
+#include <tuple>
+#include <utility>
 
 #include "common/error.h"
 #include "common/stats.h"
 #include "common/time_grid.h"
 #include "mapred/thread_pool.h"
+#include "simd/simd.h"
 
 namespace cellscope {
 
@@ -23,19 +27,71 @@ void for_each_row(ThreadPool* pool, std::size_t n,
   }
 }
 
+constexpr std::size_t kWeekSlots = TimeGrid::kSlotsPerWeek;
+constexpr std::size_t kWeeks = TimeGrid::kWeeks;
+
+/// cos/sin of 2π·m/1008 for every m, built once.
+struct WeekTwiddles {
+  std::array<double, kWeekSlots> cos{};
+  std::array<double, kWeekSlots> sin{};
+};
+
+const WeekTwiddles& week_twiddles() {
+  static const WeekTwiddles table = [] {
+    WeekTwiddles t;
+    for (std::size_t m = 0; m < kWeekSlots; ++m) {
+      const double angle = 2.0 * M_PI * static_cast<double>(m) /
+                           static_cast<double>(kWeekSlots);
+      t.cos[m] = std::cos(angle);
+      t.sin[m] = std::sin(angle);
+    }
+    return t;
+  }();
+  return table;
+}
+
+/// Normalized amplitude 2|Y|/1008 and phase arg Y of the week's bin
+/// k/4, where Y[j] = Σ_s week[s]·e^{-2πi·j·s/1008} — equal to 2|X|/4032
+/// and arg X of the 4032-slot series' bin k (see the header).
+std::pair<double, double> week_bin(std::span<const double> week,
+                                   std::size_t k) {
+  const WeekTwiddles& t = week_twiddles();
+  const std::size_t j = k / kWeeks;
+  double re = 0.0;
+  double im = 0.0;
+  std::size_t m = 0;  // (j·s) mod 1008, kept exact in integers
+  for (std::size_t s = 0; s < kWeekSlots; ++s) {
+    re += week[s] * t.cos[m];
+    im -= week[s] * t.sin[m];
+    m += j;
+    if (m >= kWeekSlots) m -= kWeekSlots;
+  }
+  return {2.0 * std::hypot(re, im) / static_cast<double>(kWeekSlots),
+          std::atan2(im, re)};
+}
+
 }  // namespace
 
 FreqFeatures compute_freq_features(std::span<const double> zscored_series) {
   CS_CHECK_MSG(zscored_series.size() == TimeGrid::kSlots,
                "frequency features need a 4032-slot series");
-  const Spectrum spectrum(zscored_series);
+  std::array<double, kWeekSlots> week{};
+  simd::fold_mean(zscored_series.data(), kWeekSlots, kWeeks, week.data());
+  return compute_week_freq_features(week);
+}
+
+FreqFeatures compute_week_freq_features(std::span<const double> folded_week) {
+  CS_CHECK_MSG(folded_week.size() == kWeekSlots,
+               "week frequency features need a 1008-slot folded week");
+  static_assert(kWeeklyComponent % kWeeks == 0 &&
+                    kDailyComponent % kWeeks == 0 &&
+                    kHalfDailyComponent % kWeeks == 0,
+                "principal bins must be multiples of the grid's weeks");
   FreqFeatures f;
-  f.amp_week = spectrum.normalized_amplitude(kWeeklyComponent);
-  f.phase_week = spectrum.phase(kWeeklyComponent);
-  f.amp_day = spectrum.normalized_amplitude(kDailyComponent);
-  f.phase_day = spectrum.phase(kDailyComponent);
-  f.amp_half_day = spectrum.normalized_amplitude(kHalfDailyComponent);
-  f.phase_half_day = spectrum.phase(kHalfDailyComponent);
+  std::tie(f.amp_week, f.phase_week) = week_bin(folded_week, kWeeklyComponent);
+  std::tie(f.amp_day, f.phase_day) = week_bin(folded_week, kDailyComponent);
+  std::tie(f.amp_half_day, f.phase_half_day) =
+      week_bin(folded_week, kHalfDailyComponent);
   return f;
 }
 

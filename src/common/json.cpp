@@ -1,6 +1,9 @@
 #include "common/json.h"
 
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
+#include <string>
 
 #include "common/error.h"
 
@@ -147,12 +150,52 @@ class Parser {
     }
   }
 
+  bool is_digit_at(std::size_t i) const {
+    return i < text_.size() && text_[i] >= '0' && text_[i] <= '9';
+  }
+
+  /// Advances `i` past a run of digits; false if there was none.
+  bool skip_digits(std::size_t& i) const {
+    if (!is_digit_at(i)) return false;
+    while (is_digit_at(i)) ++i;
+    return true;
+  }
+
+  /// RFC 8259 number: -? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?
+  /// strtod alone would also take inf, nan, hex, a leading '+', ".5" and
+  /// "1.", none of which is JSON. A literal that overflows to ±inf is
+  /// rejected too (JSON has no infinity); underflow to 0 is accepted.
   JsonValue parse_number() {
-    const char* begin = text_.data() + pos_;
-    char* end = nullptr;
-    const double value = std::strtod(begin, &end);
-    if (end == begin) fail("invalid number");
-    pos_ += static_cast<std::size_t>(end - begin);
+    std::size_t end = pos_;
+    if (end < text_.size() && text_[end] == '-') ++end;
+    if (is_digit_at(end) && text_[end] == '0') {
+      ++end;
+    } else if (!skip_digits(end)) {
+      fail("invalid number");
+    }
+    if (end < text_.size() && text_[end] == '.') {
+      ++end;
+      if (!skip_digits(end)) fail("invalid number: no digits after '.'");
+    }
+    if (end < text_.size() && (text_[end] == 'e' || text_[end] == 'E')) {
+      ++end;
+      if (end < text_.size() && (text_[end] == '+' || text_[end] == '-'))
+        ++end;
+      if (!skip_digits(end)) fail("invalid number: no exponent digits");
+    }
+    const char* first = text_.data() + pos_;
+    const char* last = text_.data() + end;
+    double value = 0.0;
+    const auto [ptr, ec] = std::from_chars(first, last, value);
+    if (ec == std::errc::result_out_of_range) {
+      // from_chars flags overflow and underflow alike; strtod (on a
+      // terminated copy) rounds them to ±inf and to 0 respectively.
+      value = std::strtod(std::string(first, last).c_str(), nullptr);
+    } else if (ec != std::errc() || ptr != last) {
+      fail("invalid number");
+    }
+    if (std::isinf(value)) fail("number out of range");
+    pos_ = end;
     return JsonValue(value);
   }
 

@@ -326,15 +326,10 @@ HttpResponse QueryService::handle_classify(const HttpRequest& request) const {
   json += ",\"distance\":" + json_double(best);
 
   if (snapshot.has_primaries) {
-    // Convex weights over the four primary components (§5.3): the posted
-    // week is periodic by construction, so tiling it across the 4-week
-    // grid reconstructs the month-long signal whose DFT carries the
-    // (A28, P28, A56) feature the decomposition is defined on.
-    std::vector<double> tiled;
-    tiled.reserve(TimeGrid::kSlots);
-    for (int rep = 0; rep < TimeGrid::kDays / TimeGrid::kDaysPerWeek; ++rep)
-      tiled.insert(tiled.end(), folded.begin(), folded.end());
-    const auto feature = compute_freq_features(tiled).qp_feature();
+    // Convex weights over the four primary components (§5.3), from the
+    // posted week's (A28, P28, A56) — the feature OnlineClassifier::classify
+    // reads from a live window's fold, so both paths agree bit for bit.
+    const auto feature = compute_week_freq_features(folded).qp_feature();
     const auto decomposition =
         decompose_feature(feature, snapshot.primary_features);
     json += ",\"weights\":[";

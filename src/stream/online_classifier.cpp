@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "analysis/component_analysis.h"
+#include "analysis/freq_features.h"
 #include "common/error.h"
 #include "common/stats.h"
 #include "core/experiment.h"
@@ -104,15 +105,14 @@ Classification OnlineClassifier::classify(const TowerWindow& window) const {
     return out;
   }
 
-  const auto zscored = window.zscored();
-  const auto folded = fold_to_week({zscored}).front();
+  const auto folded = window.folded_week();
   double best = 0.0;
   const std::size_t best_cluster = nearest_centroid(folded, &best);
   out.cluster = best_cluster;
   out.region = model_.regions[best_cluster];
   out.distance = best;
   if (model_.has_primaries) {
-    const auto feature = compute_freq_features(zscored).qp_feature();
+    const auto feature = compute_week_freq_features(folded).qp_feature();
     const auto decomposition =
         decompose_feature(feature, model_.primary_features);
     out.confidence = 1.0 / (1.0 + decomposition.residual);

@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 #include "common/error.h"
+#include "common/rng.h"
 #include "common/stats.h"
 #include "common/time_grid.h"
+#include "dsp/spectrum.h"
 #include "traffic/profiles.h"
 
 namespace cellscope {
@@ -59,6 +62,62 @@ TEST(FreqFeatures, BatchMatchesSingle) {
 
 TEST(FreqFeatures, RequiresFullGrid) {
   EXPECT_THROW(compute_freq_features(std::vector<double>(100)), Error);
+  EXPECT_THROW(compute_freq_features(
+                   std::vector<double>(TimeGrid::kSlotsPerWeek)),
+               Error);
+  EXPECT_THROW(compute_week_freq_features(std::vector<double>(100)), Error);
+  EXPECT_THROW(compute_week_freq_features(
+                   std::vector<double>(TimeGrid::kSlots)),
+               Error);
+}
+
+TEST(FreqFeatures, MatchesFullSpectrum) {
+  // The three-bin week kernel against the full 4032-point DFT: seeded
+  // noise plus principal tones, and tones whose phases sit near ±π (where
+  // a tiny imaginary-part error flips the phase's sign, so phases compare
+  // modulo 2π).
+  std::vector<std::vector<double>> series;
+  Rng rng(2015);
+  for (int i = 0; i < 40; ++i) {
+    double draws[6];
+    for (auto& d : draws) d = rng.uniform();
+    auto x = tone(28, 0.2 + 1.8 * draws[0], M_PI * (2.0 * draws[1] - 1.0));
+    const auto half = tone(56, 0.1 + draws[2], 3.0 * (2.0 * draws[3] - 1.0));
+    const auto week = tone(4, 0.5 * draws[4], 3.0 * (2.0 * draws[5] - 1.0));
+    for (std::size_t t = 0; t < x.size(); ++t)
+      x[t] += half[t] + week[t] + rng.normal();
+    series.push_back(zscore(x));
+  }
+  for (const double phase :
+       {M_PI, -M_PI, std::nextafter(M_PI, 0.0), M_PI - 1e-12,
+        -M_PI + 1e-12, M_PI - 1e-6}) {
+    auto x = tone(4, 0.7, phase);
+    const auto day = tone(28, 1.3, phase);
+    const auto half = tone(56, 0.4, -phase);
+    for (std::size_t t = 0; t < x.size(); ++t) x[t] += day[t] + half[t];
+    series.push_back(x);
+  }
+  const auto phase_gap = [](double a, double b) {
+    return std::fabs(std::remainder(a - b, 2.0 * M_PI));
+  };
+  for (std::size_t i = 0; i < series.size(); ++i) {
+    const auto f = compute_freq_features(series[i]);
+    const Spectrum spectrum(series[i]);
+    const std::pair<double, double> bins[] = {
+        {f.amp_week, f.phase_week},
+        {f.amp_day, f.phase_day},
+        {f.amp_half_day, f.phase_half_day}};
+    const std::size_t ks[] = {kWeeklyComponent, kDailyComponent,
+                              kHalfDailyComponent};
+    for (std::size_t b = 0; b < 3; ++b) {
+      EXPECT_LE(std::fabs(bins[b].first -
+                          spectrum.normalized_amplitude(ks[b])),
+                1e-12)
+          << "series " << i << " k=" << ks[b];
+      EXPECT_LE(phase_gap(bins[b].second, spectrum.phase(ks[b])), 1e-9)
+          << "series " << i << " k=" << ks[b];
+    }
+  }
 }
 
 TEST(FreqFeatures, VarianceSpectrumPeaksAtDiscriminatingFrequencies) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "common/error.h"
 
 namespace cellscope {
@@ -51,6 +54,34 @@ TEST(Json, RejectsMalformedDocuments) {
   EXPECT_THROW(JsonValue::parse("nul"), InvalidArgument);
   EXPECT_THROW(JsonValue::parse("1 2"), InvalidArgument);  // trailing token
   EXPECT_THROW(JsonValue::parse("\"unterminated"), InvalidArgument);
+}
+
+TEST(Json, RejectsNonJsonNumberForms) {
+  // strtod accepts all of these; RFC 8259's number grammar accepts none.
+  for (const char* text :
+       {"nan", "-nan", "NaN", "inf", "-inf", "Infinity", "-Infinity",
+        "0x10", "+1", ".5", "1.", "-", "01", "-01", "1e", "1e+", "1.e3",
+        "--1", "[1,-nan]", "{\"a\":inf}"})
+    EXPECT_THROW(JsonValue::parse(text), InvalidArgument) << text;
+  // Literals that overflow to ±inf are rejected; underflow reads as 0.
+  EXPECT_THROW(JsonValue::parse("1e999"), InvalidArgument);
+  EXPECT_THROW(JsonValue::parse("-1e999"), InvalidArgument);
+  EXPECT_THROW(JsonValue::parse("[0,1e400]"), InvalidArgument);
+  EXPECT_EQ(JsonValue::parse("1e-999").as_number(), 0.0);
+  EXPECT_EQ(JsonValue::parse("-1e-999").as_number(), 0.0);
+  // Every grammar branch still parses, exactly.
+  EXPECT_EQ(JsonValue::parse("0").as_number(), 0.0);
+  EXPECT_EQ(JsonValue::parse("-0").as_number(), 0.0);
+  EXPECT_TRUE(std::signbit(JsonValue::parse("-0").as_number()));
+  EXPECT_EQ(JsonValue::parse("0.5").as_number(), 0.5);
+  EXPECT_EQ(JsonValue::parse("-12.25E+2").as_number(), -1225.0);
+  EXPECT_EQ(JsonValue::parse("7e-1").as_number(), 0.7);
+  EXPECT_EQ(JsonValue::parse("4.9406564584124654e-324").as_number(),
+            std::numeric_limits<double>::denorm_min());
+  EXPECT_EQ(JsonValue::parse("1.7976931348623157e308").as_number(),
+            std::numeric_limits<double>::max());
+  EXPECT_EQ(JsonValue::parse("[1,2.5,-3e0]").as_array()[2].as_number(),
+            -3.0);
 }
 
 TEST(Json, BoundsNestingDepth) {

@@ -2,7 +2,7 @@
 //
 // The determinism contract: every pooled stage — the blocked distance
 // kernel, the incremental DBI sweep, the per-row z-score/fold loops, and
-// the per-tower spectra — produces BIT-IDENTICAL output for any worker
+// the per-tower frequency features — produces BIT-IDENTICAL output for any worker
 // count, because tiles/rows partition the output and every reduction runs
 // in a fixed order. These tests pin that contract with exact comparisons
 // (no tolerances), and check the incremental DBI sweep against a
@@ -195,6 +195,24 @@ TEST(ParallelEquivalence, FreqFeaturesBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(serial_var, par_var);
 }
 
+TEST(ParallelEquivalence, FreqFeaturesOfSeriesEqualFeaturesOfItsFold) {
+  // compute_freq_features(z) folds z with fold_to_week's own kernel call,
+  // so it is the week kernel on fold_to_week({z}) bit for bit — the
+  // identity that keeps the batch features, OnlineClassifier::classify
+  // and POST /classify on one number.
+  Rng rng(15);
+  for (int i = 0; i < 9; ++i) {
+    std::vector<double> z(TimeGrid::kSlots);
+    for (auto& v : z) v = rng.normal();
+    if (i == 8) z[4000] = std::numeric_limits<double>::quiet_NaN();
+    const FreqFeatures direct = compute_freq_features(z);
+    const FreqFeatures folded =
+        compute_week_freq_features(fold_to_week({z}).front());
+    EXPECT_EQ(std::memcmp(&direct, &folded, sizeof(FreqFeatures)), 0)
+        << "row " << i;
+  }
+}
+
 TEST(ParallelEquivalence, SilhouetteOverloadReusesDistanceMatrix) {
   const auto points = blob_points(20, 12, 8);
   const auto dendrogram =
@@ -331,6 +349,27 @@ TEST(SimdDispatchEquivalence, ZscoreAndFoldBitIdenticalAcrossIsas) {
   }
   for (std::size_t r = 1; r < folds.size(); ++r)
     EXPECT_TRUE(bit_equal(folds[0], folds[r]));
+}
+
+TEST(SimdDispatchEquivalence, FreqFeaturesBitIdenticalAcrossIsas) {
+  // The feature path's fold runs the dispatched fold_mean kernel; the
+  // three bins read from it must not depend on the ISA. The last row
+  // carries a NaN.
+  Rng rng(16);
+  std::vector<std::vector<double>> rows(5,
+                                        std::vector<double>(TimeGrid::kSlots));
+  for (auto& row : rows)
+    for (auto& v : row) v = rng.normal();
+  rows.back()[17] = std::numeric_limits<double>::quiet_NaN();
+  std::vector<std::vector<FreqFeatures>> results;
+  for (const simd::Isa isa : sweep_isas()) {
+    ForcedIsa forced(isa);
+    std::vector<FreqFeatures> features;
+    for (const auto& row : rows) features.push_back(compute_freq_features(row));
+    results.push_back(std::move(features));
+  }
+  for (std::size_t r = 1; r < results.size(); ++r)
+    EXPECT_TRUE(bit_equal(results[0], results[r]));
 }
 
 }  // namespace

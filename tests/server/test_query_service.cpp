@@ -8,11 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <memory>
 #include <numbers>
 #include <string>
 #include <vector>
 
+#include "analysis/component_analysis.h"
+#include "analysis/freq_features.h"
 #include "common/error.h"
 #include "common/json.h"
 #include "common/time_grid.h"
@@ -38,17 +41,57 @@ std::uint64_t resident_bytes(std::size_t slot) {
   return static_cast<std::uint64_t>(2000.0 - 1500.0 * std::sin(phase));
 }
 
+std::uint64_t half_day_bytes(std::size_t slot) {
+  const double phase =
+      4.0 * std::numbers::pi * static_cast<double>(slot % kDay) / kDay;
+  return static_cast<std::uint64_t>(2000.0 + 1200.0 * std::sin(phase));
+}
+
+std::uint64_t evening_bytes(std::size_t slot) {
+  const double phase =
+      2.0 * std::numbers::pi * static_cast<double>(slot % kDay) / kDay;
+  return static_cast<std::uint64_t>(2000.0 + 800.0 * std::cos(phase) +
+                                    300.0 * std::sin(2.0 * phase));
+}
+
+std::vector<double> profile_week(std::uint64_t (*profile)(std::size_t)) {
+  TowerWindow window;
+  for (std::size_t slot = 0; slot < TimeGrid::kSlots; ++slot)
+    window.add(slot * TimeGrid::kSlotMinutes, profile(slot));
+  return window.folded_week();
+}
+
+std::string week_body(const std::vector<double>& week) {
+  std::string body = "[";
+  for (std::size_t i = 0; i < week.size(); ++i) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.17g", week[i]);
+    if (i > 0) body += ',';
+    body += buf;
+  }
+  return body + "]";
+}
+
 ModelSnapshot synthetic_model() {
   ModelSnapshot model;
-  for (const auto profile : {office_bytes, resident_bytes}) {
-    TowerWindow window;
-    for (std::size_t slot = 0; slot < TimeGrid::kSlots; ++slot)
-      window.add(slot * TimeGrid::kSlotMinutes, profile(slot));
-    model.centroids.push_back(window.folded_week());
-  }
+  for (const auto profile : {office_bytes, resident_bytes})
+    model.centroids.push_back(profile_week(profile));
   model.regions = {FunctionalRegion::kOffice, FunctionalRegion::kResident};
   model.populations = {3, 10};
   model.has_primaries = false;
+  return model;
+}
+
+/// synthetic_model() plus four primary components, so /classify and
+/// classify() take the convex-decomposition path.
+ModelSnapshot model_with_primaries() {
+  ModelSnapshot model = synthetic_model();
+  std::uint64_t (*const profiles[4])(std::size_t) = {
+      resident_bytes, half_day_bytes, office_bytes, evening_bytes};
+  for (std::size_t r = 0; r < 4; ++r)
+    model.primary_features[r] =
+        compute_week_freq_features(profile_week(profiles[r])).qp_feature();
+  model.has_primaries = true;
   return model;
 }
 
@@ -224,15 +267,7 @@ TEST_F(QueryServiceTest, ForecastGuardsHorizonAndHistory) {
 TEST_F(QueryServiceTest, ClassifyPostScoresAFoldedWeek) {
   const auto classifier = make_classifier();
   service.publish_model(classifier);
-  const auto& centroid = classifier->model().centroids[1];
-  std::string body = "[";
-  for (std::size_t i = 0; i < centroid.size(); ++i) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", centroid[i]);
-    if (i > 0) body += ',';
-    body += buf;
-  }
-  body += "]";
+  const std::string body = week_body(classifier->model().centroids[1]);
   const auto response = service.dispatch(post_request("/classify", body));
   ASSERT_EQ(response.status, 200) << response.body;
   const JsonValue doc = JsonValue::parse(response.body);
@@ -261,6 +296,60 @@ TEST_F(QueryServiceTest, ClassifyPostRejectsDamage) {
   strings += "]";
   EXPECT_EQ(service.dispatch(post_request("/classify", strings)).status,
             400);
+}
+
+TEST_F(QueryServiceTest, ClassifyPostMatchesLiveClassifyBitForBit) {
+  // A live window's folded week, posted at %.17g, must score exactly as
+  // classify() scores the window itself: both read (A28, P28, A56) from
+  // the same fold.
+  const auto classifier =
+      std::make_shared<const OnlineClassifier>(model_with_primaries());
+  service.publish_model(classifier);
+  const auto& primaries = classifier->model().primary_features;
+  for (const std::uint32_t tower : {1u, 2u, 4u}) {
+    const TowerWindow window = ingestor.window_copy(tower);
+    const Classification expected = classifier->classify(window);
+    ASSERT_FALSE(expected.cold_start) << "tower " << tower;
+    const auto decomposition = decompose_feature(
+        compute_week_freq_features(window.folded_week()).qp_feature(),
+        primaries);
+    ASSERT_EQ(expected.confidence, 1.0 / (1.0 + decomposition.residual));
+
+    const auto response = service.dispatch(
+        post_request("/classify", week_body(window.folded_week())));
+    ASSERT_EQ(response.status, 200) << response.body;
+    const JsonValue doc = JsonValue::parse(response.body);
+    EXPECT_EQ(static_cast<std::size_t>(doc.at("cluster").as_number()),
+              expected.cluster);
+    EXPECT_EQ(doc.at("distance").as_number(), expected.distance);
+    const auto& weights = doc.at("weights").as_array();
+    ASSERT_EQ(weights.size(), decomposition.coefficients.size());
+    for (std::size_t w = 0; w < weights.size(); ++w)
+      EXPECT_EQ(weights[w].as_number(), decomposition.coefficients[w])
+          << "tower " << tower << " weight " << w;
+    EXPECT_EQ(doc.at("residual").as_number(), decomposition.residual);
+    EXPECT_EQ(doc.at("confidence").as_number(), expected.confidence);
+  }
+}
+
+TEST_F(QueryServiceTest, ClassifyPostRejectsNonFiniteNumbersWith400) {
+  // 1e999 and -nan used to parse (as inf and NaN), reach the convex
+  // decomposition as NaN features and answer 500 with an internal check
+  // message; they are not JSON numbers, so the body is a 400.
+  service.publish_model(
+      std::make_shared<const OnlineClassifier>(model_with_primaries()));
+  const auto week = ingestor.window_copy(1).folded_week();
+  const std::string good = week_body(week);
+  ASSERT_EQ(service.dispatch(post_request("/classify", good)).status, 200);
+  for (const std::string bad : {"1e999", "-1e999", "-nan", "nan", "inf",
+                                "-Infinity", "0x10", "+1", ".5", "1."}) {
+    // Swap the first slot's literal for the bad one.
+    const std::string body = "[" + bad + good.substr(good.find(','));
+    const auto response = service.dispatch(post_request("/classify", body));
+    EXPECT_EQ(response.status, 400) << bad << ": " << response.body;
+    EXPECT_NE(response.body.find("malformed JSON"), std::string::npos)
+        << bad;
+  }
 }
 
 TEST_F(QueryServiceTest, ClassifyPostRejectsDeepNestingWith400) {
