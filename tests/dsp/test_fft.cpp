@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <span>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -168,6 +171,34 @@ TEST_P(FftRoundTrip, ForwardInverseIsIdentity) {
 INSTANTIATE_TEST_SUITE_P(Lengths, FftRoundTrip,
                          ::testing::Values(2, 3, 7, 16, 17, 31, 97, 128, 257,
                                            1008, 2016, 4032));
+
+/// FNV-1a over the bit patterns of every real and imaginary part.
+std::uint64_t bit_fingerprint(std::span<const Complex> values) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const Complex& c : values) {
+    for (const double part : {c.real(), c.imag()}) {
+      const auto bits = std::bit_cast<std::uint64_t>(part);
+      for (int byte = 0; byte < 8; ++byte) {
+        hash ^= (bits >> (8 * byte)) & 0xFF;
+        hash *= 0x100000001b3ULL;
+      }
+    }
+  }
+  return hash;
+}
+
+// The month-long Bluestein transform (and its inverse) pinned bit for
+// bit: any change to the butterfly or pointwise-product loops that moves
+// a single spectrum bit shows up here.
+TEST(Fft, MonthSpectrumBitsArePinned) {
+  Rng rng(4032);
+  std::vector<double> series(4032);
+  for (auto& v : series) v = 1000.0 + 500.0 * rng.uniform();
+  const auto spectrum = fft_real(series);
+  EXPECT_EQ(bit_fingerprint(spectrum), 14021126445565829688ULL);
+  const auto back = fft(spectrum, true);
+  EXPECT_EQ(bit_fingerprint(back), 17533267572138930348ULL);
+}
 
 }  // namespace
 }  // namespace cellscope

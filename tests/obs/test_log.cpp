@@ -5,8 +5,11 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/error.h"
+#include "obs/metrics.h"
 
 namespace cellscope::obs {
 namespace {
@@ -199,6 +202,42 @@ TEST(Logger, FileSinkAppendsAcrossReopens) {
   EXPECT_NE(contents.find("event=first"), std::string::npos);
   EXPECT_NE(contents.find("event=second"), std::string::npos);
   std::remove(path.c_str());
+}
+
+// Every ASCII byte through both escapers: the JSON escaper's mapping and
+// the logfmt quoting rule on top of it. kEscaped[b] is the JSON string
+// body for byte b.
+TEST(LogFormat, GoldenEscapesForEveryAsciiByte) {
+  std::vector<std::string> escaped;
+  std::string all;
+  for (int b = 0; b < 0x80; ++b) {
+    const std::string one(1, static_cast<char>(b));
+    all += one;
+    escaped.push_back(json_escape(one));
+    const bool quoted = b < 0x20 || b == ' ' || b == '"' || b == '=' ||
+                        b == '\\';
+    EXPECT_EQ(escape_log_value(one),
+              quoted ? '"' + escaped.back() + '"' : escaped.back())
+        << "byte " << b;
+  }
+  std::string joined;
+  for (const auto& e : escaped) joined += e;
+  EXPECT_EQ(joined,
+            "\\u0000\\u0001\\u0002\\u0003\\u0004\\u0005\\u0006\\u0007"
+            "\\u0008\\t\\n\\u000b\\u000c\\r\\u000e\\u000f"
+            "\\u0010\\u0011\\u0012\\u0013\\u0014\\u0015\\u0016\\u0017"
+            "\\u0018\\u0019\\u001a\\u001b\\u001c\\u001d\\u001e\\u001f"
+            " !\\\"#$%&'()*+,-./0123456789:;<=>?"
+            "@ABCDEFGHIJKLMNOPQRSTUVWXYZ[\\\\]^_"
+            "`abcdefghijklmnopqrstuvwxyz{|}~\x7F");
+  EXPECT_EQ(json_escape(all), joined);
+  EXPECT_EQ(escape_log_value(all), '"' + joined + '"');
+
+  // Multi-byte UTF-8 passes through untouched.
+  const std::string utf8 = "caf\xC3\xA9 \xE6\x97\xA5\xE6\x9C\xAC \xF0\x9F\x93\xB6";
+  EXPECT_EQ(json_escape(utf8), utf8);
+  EXPECT_EQ(escape_log_value(utf8), '"' + utf8 + '"');
+  EXPECT_EQ(escape_log_value("\xC3\xA9"), "\xC3\xA9");
 }
 
 }  // namespace

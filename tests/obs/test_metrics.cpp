@@ -361,5 +361,56 @@ TEST(MetricsRegistry, JsonEscapeHandlesSpecials) {
   EXPECT_EQ(json_escape("a\nb"), "a\\nb");
 }
 
+TEST(MetricsRegistry, GoldenSnapshotJsonFields) {
+  auto& registry = MetricsRegistry::instance();
+  auto& counter = registry.counter("test.golden.counter");
+  auto& gauge = registry.gauge("test.golden.gauge");
+  auto& hist = registry.histogram("test.golden.hist", {1.0, 2.5, 1e4});
+  counter.reset();
+  gauge.reset();
+  hist.reset();
+  counter.add(12);
+  gauge.set(9);
+  gauge.add(-14);
+  hist.observe(0.25);
+  hist.observe(2.0);
+  hist.observe(2.0);
+  hist.observe(12345.678);
+  const auto json = registry.snapshot_json();
+  EXPECT_NE(json.find("\"test.golden.counter\":12"), std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"test.golden.gauge\":{\"value\":-5,\"max\":9}"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"test.golden.hist\":{\"count\":4,\"sum\":12349.928,"
+                      "\"p50\":1.75,\"p90\":10000,\"p99\":10000,\"buckets\":["
+                      "{\"le\":1,\"count\":1},{\"le\":2.5,\"count\":2},"
+                      "{\"le\":10000,\"count\":0}],\"overflow\":1}"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"test.golden.counter\":12"), std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"test.golden.gauge\":{\"value\":-5,\"max\":9}"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"test.golden.hist\":{\"count\":4,\"sum\":12349.928,"
+                      "\"p50\":1.75,\"p90\":10000,\"p99\":10000,\"buckets\":["
+                      "{\"le\":1,\"count\":1},{\"le\":2.5,\"count\":2},"
+                      "{\"le\":10000,\"count\":0}],\"overflow\":1}"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"test.golden.counter\":12"), std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"test.golden.gauge\":{\"value\":-5,\"max\":9}"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"test.golden.hist\":{\"count\":4,\"sum\":12349.928,"
+                      "\"p50\":1.75,\"p90\":10000,\"p99\":10000,\"buckets\":["
+                      "{\"le\":1,\"count\":1},{\"le\":2.5,\"count\":2},"
+                      "{\"le\":10000,\"count\":0}],\"overflow\":1}"),
+            std::string::npos)
+      << json;
+}
+
 }  // namespace
 }  // namespace cellscope::obs

@@ -206,5 +206,20 @@ TEST(QualitySeverity, Names) {
   EXPECT_EQ(severity_name(Severity::kFail), "fail");
 }
 
+TEST_F(QualityBoardTest, GoldenVerdictsJson) {
+  auto& board = QualityBoard::instance();
+  EXPECT_EQ(board.verdicts_json(), "[]");
+  board.record({"energy", "analysis.freq", Severity::kWarn, false,
+                std::numeric_limits<double>::quiet_NaN(), "nan \"value\"\n"});
+  board.record({"dbi", "ml.dbi", Severity::kFail, true, 0.123456789012,
+                "ok"});
+  EXPECT_EQ(board.verdicts_json(),
+            "[{\"check\":\"energy\",\"stage\":\"analysis.freq\","
+            "\"severity\":\"warn\",\"passed\":false,\"value\":null,"
+            "\"detail\":\"nan \\\"value\\\"\\n\"},{\"check\":\"dbi\","
+            "\"stage\":\"ml.dbi\",\"severity\":\"fail\",\"passed\":true,"
+            "\"value\":0.123456789,\"detail\":\"ok\"}]");
+}
+
 }  // namespace
 }  // namespace cellscope::obs

@@ -4,7 +4,10 @@
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <sstream>
+#include <string>
+#include <thread>
 
 #include "obs/metrics.h"
 
@@ -131,6 +134,24 @@ TEST(StageSpan, RecordsSpanAndHistogram) {
   EXPECT_EQ(events[0].name, "pipeline.span_test");
   EXPECT_EQ(events[0].category, "spantest");
   EXPECT_EQ(histogram.count(), count_before + 1);
+}
+
+TEST(StageTrace, GoldenChromeTraceJson) {
+  TraceGuard guard;
+  auto& trace = StageTrace::instance();
+  trace.record_complete("stream.apply", "stream", 12.5, 3.25,
+                        "\"records\":7,\"shard\":1");
+  trace.record_complete("q\"uote", "server", 1000.0005, 0.0);
+  const std::string tid = std::to_string(
+      std::hash<std::thread::id>{}(std::this_thread::get_id()) & 0xFFFF);
+  EXPECT_EQ(trace.chrome_trace_json(),
+            "{\"traceEvents\":[{\"name\":\"stream.apply\",\"cat\":"
+            "\"stream\",\"ph\":\"X\",\"ts\":12.500,\"dur\":3.250,"
+            "\"pid\":1,\"tid\":" + tid +
+            ",\"args\":{\"records\":7,\"shard\":1}},{\"name\":"
+            "\"q\\\"uote\",\"cat\":\"server\",\"ph\":\"X\",\"ts\":"
+            "1000.000,\"dur\":0.000,\"pid\":1,\"tid\":" + tid +
+            "}],\"displayTimeUnit\":\"ms\"}");
 }
 
 }  // namespace

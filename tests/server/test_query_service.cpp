@@ -399,5 +399,94 @@ TEST_F(QueryServiceTest, StatsReportsServingPlane) {
   EXPECT_TRUE(doc.at("ingest").contains("shards"));
 }
 
+// --- golden bodies ------------------------------------------------------
+// Exact response bytes for the fixture above: key order, separators, the
+// %.17g number format and error-body escaping. These pins are the
+// contract the JSON writer must keep; they are not re-captured when the
+// serializer changes.
+
+TEST_F(QueryServiceTest, GoldenClassBody) {
+  service.publish_model(make_classifier());
+  const auto response = service.dispatch(get_request("/towers/4/class"));
+  EXPECT_EQ(response.status, 200);
+  EXPECT_EQ(response.content_type, "application/json");
+  EXPECT_EQ(response.body,
+            "{\"tower\":4,\"classification\":{\"cluster\":0,\"region\":"
+            "\"Office\",\"distance\":921.75231877239253,\"confidence\":"
+            "0.031887374655944649,\"cold_start\":false,\"model_epoch\":1}}");
+}
+
+TEST_F(QueryServiceTest, GoldenWindowBody) {
+  const auto response = service.dispatch(get_request("/towers/4/window"));
+  EXPECT_EQ(response.status, 200);
+  EXPECT_EQ(response.body,
+            "{\"tower\":4,\"observed_slots\":200,\"total_bytes\":460129,"
+            "\"mean\":114.11929563492063,\"variance\":303868.04901259911,"
+            "\"latest_minute\":1990,\"latest_cycle\":0}");
+}
+
+TEST_F(QueryServiceTest, GoldenForecastBody) {
+  service.publish_model(make_classifier());
+  const auto response = service.dispatch(
+      get_request("/towers/4/forecast", "horizon=3"));
+  EXPECT_EQ(response.status, 200);
+  EXPECT_EQ(response.body,
+            "{\"tower\":4,\"horizon\":3,\"template\":0,\"region\":"
+            "\"Office\",\"model_epoch\":1,\"values\":[2964,2913,2860]}");
+}
+
+TEST_F(QueryServiceTest, GoldenClassifyBodies) {
+  service.publish_model(make_classifier());
+  // A blend of three profiles, so distance and weights are interior.
+  const auto office = profile_week(office_bytes);
+  const auto evening = profile_week(evening_bytes);
+  const auto half_day = profile_week(half_day_bytes);
+  std::vector<double> blend(office.size());
+  for (std::size_t s = 0; s < blend.size(); ++s)
+    blend[s] = 0.5 * office[s] + 0.3 * evening[s] + 0.2 * half_day[s];
+  const std::string body = week_body(blend);
+  const auto plain = service.dispatch(post_request("/classify", body));
+  EXPECT_EQ(plain.status, 200);
+  EXPECT_EQ(plain.body,
+            "{\"cluster\":0,\"region\":\"Office\",\"distance\":"
+            "425.51509131814464,\"weights\":null,\"confidence\":"
+            "0.046236323621993008,\"model_epoch\":1}");
+
+  service.publish_model(
+      std::make_shared<const OnlineClassifier>(model_with_primaries()));
+  const auto weighted = service.dispatch(post_request("/classify", body));
+  EXPECT_EQ(weighted.status, 200);
+  EXPECT_EQ(weighted.body,
+            "{\"cluster\":0,\"region\":\"Office\",\"distance\":"
+            "425.51509131814464,\"weights\":[0,0.36235735915153905,"
+            "0.63764264084846101,0],\"residual\":0.12176973229686826,"
+            "\"confidence\":0.8914485488500925,\"model_epoch\":2}");
+}
+
+TEST_F(QueryServiceTest, GoldenErrorBodies) {
+  const auto no_model = service.dispatch(get_request("/towers/1/class"));
+  EXPECT_EQ(no_model.status, 503);
+  EXPECT_EQ(no_model.content_type, "application/json");
+  EXPECT_EQ(no_model.body, "{\"error\":\"no model published yet\"}");
+
+  service.publish_model(make_classifier());
+  const auto bad_id = service.dispatch(get_request("/towers/x/class"));
+  EXPECT_EQ(bad_id.status, 400);
+  EXPECT_EQ(bad_id.body,
+            "{\"error\":\"tower id must be a 32-bit integer\"}");
+  const auto bad_json = service.dispatch(post_request("/classify", "[1,"));
+  EXPECT_EQ(bad_json.status, 400);
+  EXPECT_EQ(bad_json.body, "{\"error\":\"malformed JSON body\"}");
+  const auto no_window = service.dispatch(get_request("/towers/99/window"));
+  EXPECT_EQ(no_window.status, 404);
+  EXPECT_EQ(no_window.body, "{\"error\":\"no window for this tower\"}");
+  const auto short_history =
+      service.dispatch(get_request("/towers/3/forecast"));
+  EXPECT_EQ(short_history.status, 409);
+  EXPECT_EQ(short_history.body,
+            "{\"error\":\"insufficient history for a forecast\","
+            "\"observed_slots\":10,\"required_slots\":72}");
+}
+
 }  // namespace
 }  // namespace cellscope::server

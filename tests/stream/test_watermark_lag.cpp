@@ -215,5 +215,24 @@ TEST(TowerWindowWatermark, RestoreReconstructsBinGranularWatermark) {
   EXPECT_EQ(restored.latest_minute(), 500u);
 }
 
+TEST(StreamStatus, GoldenShardObject) {
+  StreamIngestor ingestor(StreamConfig{.n_shards = 2, .queue_capacity = 0,
+                                       .max_lateness_minutes = 100});
+  ingestor.offer(make_log(0, 400, 10));
+  const std::string json = ingestor.status_json();
+  EXPECT_EQ(json.rfind("{\"watermark_minute\":410,\"low_watermark_minute\":310,"
+                       "\"offered\":1,\"accepted\":1,\"dropped\":0,\"late\":0,"
+                       "\"stale\":0,\"pending\":1,\"io\":{\"chunks_read\":",
+                       0),
+            0u)
+      << json;
+  EXPECT_NE(json.find("\"shards\":[{\"shard\":0,\"queue_depth\":1,\"towers\":0,"
+                      "\"dropped\":0,\"watermark_minute\":410,"
+                      "\"low_watermark_minute\":310,"
+                      "\"unclassified_age_ms\":0.000000},{\"shard\":1,"),
+            std::string::npos)
+      << json;
+}
+
 }  // namespace
 }  // namespace cellscope
