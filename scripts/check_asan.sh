@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
 # Memory-safety check: configure an AddressSanitizer + UndefinedBehavior-
 # Sanitizer build in build-asan/, build the serving, introspection, obs
-# and trace I/O test suites, and run `ctest -L 'server|introspect|obs|io'`
-# under it. The intended targets are everything that parses untrusted
-# bytes — from a socket (the HTTP request parser, POST /classify's JSON
-# body) or from a trace file (the CSV reader, the columnar .ctb reader
-# and its bit-flip/truncation sweeps) — and the connection lifetime in
-# the worker pool; any out-of-bounds access, use-after-free, leak, or
-# undefined behavior fails the run.
+# and trace I/O test suites and the seeded fuzz drivers, and run
+# `ctest -L 'server|introspect|obs|io|fuzz'` under it. The intended
+# targets are everything that parses untrusted bytes — from a socket (the
+# HTTP request parser, POST /classify's JSON body, which json_fuzz
+# mutates byte by byte) or from a trace file (the CSV reader, the
+# columnar .ctb reader and its bit-flip/truncation sweeps) — and the
+# connection lifetime in the worker pool; any out-of-bounds access,
+# use-after-free, leak, or undefined behavior fails the run.
 #
 # Usage:
 #   scripts/check_asan.sh              # configure (once), build, run
@@ -23,11 +24,11 @@ cmake -B "${build_dir}" -S "${repo_root}" \
   -DCELLSCOPE_SANITIZE=address,undefined
 
 cmake --build "${build_dir}" -j --target test_server --target test_introspect \
-  --target test_obs --target test_io
+  --target test_obs --target test_io --target json_fuzz
 
 # Findings already fail the run (-fno-sanitize-recover); add the stacks.
 export UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1}"
 
-echo "check_asan: running ctest -L 'server|introspect|obs|io' under ASan+UBSan"
-ctest --test-dir "${build_dir}" -L 'server|introspect|obs|io' \
+echo "check_asan: running ctest -L 'server|introspect|obs|io|fuzz' under ASan+UBSan"
+ctest --test-dir "${build_dir}" -L 'server|introspect|obs|io|fuzz' \
   --output-on-failure

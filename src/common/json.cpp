@@ -1,8 +1,11 @@
 #include "common/json.h"
 
+#include <cerrno>
 #include <charconv>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 
 #include "common/error.h"
@@ -267,7 +270,104 @@ class Parser {
   std::size_t depth_ = 0;  // arrays/objects currently open
 };
 
+/// Appends `s` escaped for a JSON string literal (see json_escape).
+void append_escaped(std::string& out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) >= 0x20) {
+          out.push_back(c);
+        } else {
+          out += "\\u00";
+          out.push_back(kHex[c >> 4]);
+          out.push_back(kHex[c & 0xF]);
+        }
+    }
+  }
+}
+
 }  // namespace
+
+std::string json_escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  append_escaped(out, s);
+  return out;
+}
+
+void JsonWriter::begin_value() {
+  if (comma_due_) out_.push_back(',');
+  comma_due_ = true;
+}
+
+JsonWriter& JsonWriter::open(char bracket) {
+  begin_value();
+  out_.push_back(bracket);
+  comma_due_ = false;
+  return *this;
+}
+
+JsonWriter& JsonWriter::close(char bracket) {
+  out_.push_back(bracket);
+  comma_due_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::key(std::string_view name) {
+  string(name);
+  out_.push_back(':');
+  comma_due_ = false;
+  return *this;
+}
+
+JsonWriter& JsonWriter::string(std::string_view value) {
+  begin_value();
+  out_.push_back('"');
+  append_escaped(out_, value);
+  out_.push_back('"');
+  return *this;
+}
+
+JsonWriter& JsonWriter::number(double value, JsonNumber style) {
+  if (!std::isfinite(value)) return null();
+  static constexpr struct {
+    std::chars_format format;
+    int precision;
+  } kFormats[] = {{std::chars_format::general, 17},
+                  {std::chars_format::general, 9},
+                  {std::chars_format::fixed, 6},
+                  {std::chars_format::fixed, 3}};
+  const auto [format, precision] = kFormats[static_cast<int>(style)];
+  char buf[352];  // fixed notation of DBL_MAX has 309 integer digits
+  const char* end =
+      std::to_chars(buf, buf + sizeof(buf), value, format, precision).ptr;
+  return raw(std::string_view(buf, end - buf));
+}
+
+JsonWriter& JsonWriter::raw(std::string_view json) {
+  begin_value();
+  out_ += json;
+  return *this;
+}
+
+void write_json_file(const std::string& path, std::string_view json) {
+  std::FILE* file = std::fopen(path.c_str(), "w");
+  if (!file)
+    throw IoError("cannot open " + path + ": " + std::strerror(errno));
+  const bool written =
+      std::fwrite(json.data(), 1, json.size(), file) == json.size() &&
+      std::fputc('\n', file) != EOF;
+  // fclose flushes stdio's buffer, so a short document meets a full disk
+  // only here.
+  if (std::fclose(file) != 0 || !written)
+    throw IoError("cannot write " + path + ": " + std::strerror(errno));
+}
 
 JsonValue JsonValue::parse(std::string_view text) {
   return Parser(text).parse_document();

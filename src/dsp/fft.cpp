@@ -3,9 +3,59 @@
 #include <cmath>
 
 #include "common/error.h"
-#include "simd/simd.h"
 
 namespace cellscope {
+
+namespace {
+
+// Both loops write the complex product out naively, (ac − bd, ad + bc),
+// through the double[2] layout std::complex guarantees
+// ([complex.numbers.general]). libstdc++'s operator* adds C99 Annex G's
+// non-finite "repair" branch instead: finite spectra are the same bits
+// either way, NaN/Inf spectra differ from releases that used operator*
+// (they were garbage either way). This TU is built with -ffp-contract=off
+// (src/dsp/CMakeLists.txt), so no FMA can move a spectrum bit on any
+// target.
+
+/// One radix-2 butterfly sweep over a stage's half-blocks `a` and `b`
+/// with twiddles `w`: v = b[j]·w[j]; a[j] = u + v; b[j] = u − v.
+void butterfly(Complex* a, Complex* b, const Complex* w, std::size_t half) {
+  double* pa = reinterpret_cast<double*>(a);
+  double* pb = reinterpret_cast<double*>(b);
+  const double* pw = reinterpret_cast<const double*>(w);
+  for (std::size_t j = 0; j < half; ++j) {
+    const double br = pb[2 * j];
+    const double bi = pb[2 * j + 1];
+    const double wr = pw[2 * j];
+    const double wi = pw[2 * j + 1];
+    const double vr = br * wr - bi * wi;
+    const double vi = bi * wr + br * wi;
+    const double ur = pa[2 * j];
+    const double ui = pa[2 * j + 1];
+    pa[2 * j] = ur + vr;
+    pa[2 * j + 1] = ui + vi;
+    pb[2 * j] = ur - vr;
+    pb[2 * j + 1] = ui - vi;
+  }
+}
+
+/// out[i] = x[i]·y[i]; `out` may alias `x` (Bluestein's in-place product).
+void multiply(const Complex* x, const Complex* y, Complex* out,
+              std::size_t n) {
+  const double* px = reinterpret_cast<const double*>(x);
+  const double* py = reinterpret_cast<const double*>(y);
+  double* po = reinterpret_cast<double*>(out);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double xr = px[2 * i];
+    const double xi = px[2 * i + 1];
+    const double yr = py[2 * i];
+    const double yi = py[2 * i + 1];
+    po[2 * i] = xr * yr - xi * yi;
+    po[2 * i + 1] = xr * yi + xi * yr;
+  }
+}
+
+}  // namespace
 
 bool is_power_of_two(std::size_t n) { return n >= 1 && (n & (n - 1)) == 0; }
 
@@ -21,10 +71,9 @@ void fft_radix2_inplace(std::vector<Complex>& a, bool inverse) {
     if (i < j) std::swap(a[i], a[j]);
   }
 
-  // Per-stage twiddle table, filled with the same sequential `w *= wlen`
-  // recurrence the old per-block loop ran — every block of a stage used
-  // an identical twiddle sequence, so hoisting it changes nothing bit-wise
-  // and lets the butterfly sweep go through the simd dispatcher.
+  // Per-stage twiddle table, filled by the sequential `w *= wlen`
+  // recurrence once per stage: every block of a stage uses the same
+  // twiddle sequence.
   std::vector<Complex> twiddles(n / 2);
   for (std::size_t len = 2; len <= n; len <<= 1) {
     const double angle = (inverse ? 2.0 : -2.0) * M_PI / static_cast<double>(len);
@@ -36,8 +85,7 @@ void fft_radix2_inplace(std::vector<Complex>& a, bool inverse) {
       w *= wlen;
     }
     for (std::size_t i = 0; i < n; i += len)
-      simd::fft_butterfly(a.data() + i, a.data() + i + half, twiddles.data(),
-                          half);
+      butterfly(a.data() + i, a.data() + i + half, twiddles.data(), half);
   }
   if (inverse) {
     for (auto& x : a) x /= static_cast<double>(n);
@@ -67,7 +115,7 @@ std::vector<Complex> bluestein(std::span<const Complex> input, bool inverse) {
 
   std::vector<Complex> a(m, Complex(0.0, 0.0));
   std::vector<Complex> b(m, Complex(0.0, 0.0));
-  simd::complex_multiply(input.data(), chirp.data(), a.data(), n);
+  multiply(input.data(), chirp.data(), a.data(), n);
   for (std::size_t k = 0; k < n; ++k) {
     b[k] = std::conj(chirp[k]);
     if (k != 0) b[m - k] = std::conj(chirp[k]);
@@ -75,11 +123,11 @@ std::vector<Complex> bluestein(std::span<const Complex> input, bool inverse) {
 
   fft_radix2_inplace(a, false);
   fft_radix2_inplace(b, false);
-  simd::complex_multiply(a.data(), b.data(), a.data(), m);
+  multiply(a.data(), b.data(), a.data(), m);
   fft_radix2_inplace(a, true);
 
   std::vector<Complex> out(n);
-  simd::complex_multiply(a.data(), chirp.data(), out.data(), n);
+  multiply(a.data(), chirp.data(), out.data(), n);
   if (inverse) {
     for (auto& x : out) x /= static_cast<double>(n);
   }

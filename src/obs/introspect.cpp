@@ -1,5 +1,6 @@
 #include "obs/introspect.h"
 
+#include "common/json.h"
 #include "obs/metrics.h"
 #include "obs/quality.h"
 
@@ -9,16 +10,11 @@ namespace {
 
 /// The /healthz body: quality-sentinel tallies plus every verdict.
 HttpResponse healthz_response() {
-  auto& board = QualityBoard::instance();
-  const bool ok = board.ok();
+  JsonWriter w;
   HttpResponse response;
-  response.status = ok ? 200 : 503;
+  response.status = QualityBoard::instance().write_summary(w) ? 200 : 503;
   response.content_type = "application/json";
-  response.body = std::string("{\"ok\":") + (ok ? "true" : "false") +
-                  ",\"passed\":" + std::to_string(board.passed()) +
-                  ",\"warned\":" + std::to_string(board.warned()) +
-                  ",\"failed\":" + std::to_string(board.failed()) +
-                  ",\"verdicts\":" + board.verdicts_json() + "}";
+  response.body = w.take();
   return response;
 }
 

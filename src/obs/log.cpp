@@ -8,6 +8,7 @@
 #include <mutex>
 
 #include "common/error.h"
+#include "common/json.h"
 #include "common/string_util.h"
 
 namespace cellscope::obs {
@@ -66,42 +67,10 @@ LogField::LogField(std::string_view k, double v) : key(k) {
 
 std::string escape_log_value(std::string_view value) {
   if (!needs_quoting(value)) return std::string(value);
-  std::string out;
-  out.reserve(value.size() + 2);
-  out.push_back('"');
-  for (const char c : value) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        // Remaining control characters must not reach the line raw: a
-        // stray 0x01 (or an embedded NUL) would break line-oriented
-        // logfmt consumers. \u00XX round-trips via unescape_log_value.
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-  return out;
+  // The JSON string escape: no control byte reaches the line raw (a stray
+  // 0x01 or NUL would break line-oriented logfmt consumers), and \u00XX
+  // round-trips via unescape_log_value.
+  return '"' + json_escape(value) + '"';
 }
 
 std::string unescape_log_value(std::string_view escaped) {

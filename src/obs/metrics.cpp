@@ -144,48 +144,6 @@ void HistogramBatch::flush() noexcept {
   pending_ = 0;
 }
 
-std::string format_json_double(double v) {
-  // JSON has no literal for NaN or infinity — a bare `nan` token makes
-  // the whole /metrics.json document unparseable.
-  if (!std::isfinite(v)) return "null";
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
 MetricsRegistry& MetricsRegistry::instance() {
   static MetricsRegistry* registry = new MetricsRegistry;  // never destroyed
   return *registry;
@@ -221,46 +179,35 @@ Histogram& MetricsRegistry::histogram(std::string_view name,
 }
 
 std::string MetricsRegistry::snapshot_json() const {
+  constexpr auto kStyle = JsonNumber::kCompact;
   std::lock_guard<std::mutex> lock(mutex_);
-  std::string json = "{\"counters\":{";
-  bool first = true;
-  for (const auto& [name, c] : counters_) {
-    if (!first) json += ',';
-    first = false;
-    json += '"' + json_escape(name) + "\":" + std::to_string(c->value());
-  }
-  json += "},\"gauges\":{";
-  first = true;
+  JsonWriter w;
+  w.begin_object().key("counters").begin_object();
+  for (const auto& [name, c] : counters_) w.key(name).integer(c->value());
+  w.end_object().key("gauges").begin_object();
   for (const auto& [name, g] : gauges_) {
-    if (!first) json += ',';
-    first = false;
-    json += '"' + json_escape(name) + "\":{\"value\":" +
-            std::to_string(g->value()) +
-            ",\"max\":" + std::to_string(g->max_value()) + '}';
+    w.key(name).begin_object();
+    w.key("value").integer(g->value()).key("max").integer(g->max_value());
+    w.end_object();
   }
-  json += "},\"histograms\":{";
-  first = true;
+  w.end_object().key("histograms").begin_object();
   for (const auto& [name, h] : histograms_) {
-    if (!first) json += ',';
-    first = false;
-    json += '"' + json_escape(name) + "\":{\"count\":" +
-            std::to_string(h->count()) +
-            ",\"sum\":" + format_json_double(h->sum()) +
-            ",\"p50\":" + format_json_double(h->quantile(0.50)) +
-            ",\"p90\":" + format_json_double(h->quantile(0.90)) +
-            ",\"p99\":" + format_json_double(h->quantile(0.99)) +
-            ",\"buckets\":[";
+    w.key(name).begin_object().key("count").integer(h->count());
+    w.key("sum").number(h->sum(), kStyle);
+    w.key("p50").number(h->quantile(0.50), kStyle);
+    w.key("p90").number(h->quantile(0.90), kStyle);
+    w.key("p99").number(h->quantile(0.99), kStyle);
+    w.key("buckets").begin_array();
     const auto& bounds = h->upper_bounds();
     const auto counts = h->bucket_counts();
     for (std::size_t i = 0; i < bounds.size(); ++i) {
-      if (i) json += ',';
-      json += "{\"le\":" + format_json_double(bounds[i]) +
-              ",\"count\":" + std::to_string(counts[i]) + '}';
+      w.begin_object().key("le").number(bounds[i], kStyle);
+      w.key("count").integer(counts[i]).end_object();
     }
-    json += "],\"overflow\":" + std::to_string(counts.back()) + '}';
+    w.end_array().key("overflow").integer(counts.back()).end_object();
   }
-  json += "}}";
-  return json;
+  w.end_object().end_object();
+  return w.take();
 }
 
 namespace {

@@ -18,7 +18,11 @@
 #include <string_view>
 #include <vector>
 
+#include "common/json.h"
+
 namespace cellscope::obs {
+
+using cellscope::json_escape;
 
 /// Monotonically increasing event count.
 class Counter {
@@ -180,13 +184,6 @@ class HistogramBatch {
   std::vector<double> sums_;
   std::uint64_t pending_ = 0;
 };
-
-/// A double as a JSON number token ("%.9g"); non-finite values become
-/// `null`, since JSON has no literal for NaN or infinity.
-std::string format_json_double(double v);
-
-/// Escapes a string for embedding inside a JSON string literal.
-std::string json_escape(std::string_view s);
 
 /// The process-global registry.
 class MetricsRegistry {

@@ -6,6 +6,7 @@
 #include <map>
 
 #include "common/error.h"
+#include "common/json.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 
@@ -155,23 +156,37 @@ std::size_t QualityBoard::failed() const {
   return failed_;
 }
 
+void QualityBoard::write_verdicts(JsonWriter& w) const {
+  w.begin_array();
+  for (const auto& v : verdicts_) {
+    w.begin_object().key("check").string(v.check);
+    w.key("stage").string(v.stage);
+    w.key("severity").string(severity_name(v.severity));
+    w.key("passed").boolean(v.passed);
+    w.key("value").number(v.value, JsonNumber::kCompact);
+    w.key("detail").string(v.detail).end_object();
+  }
+  w.end_array();
+}
+
 std::string QualityBoard::verdicts_json() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::string json = "[";
-  bool first = true;
-  for (const auto& v : verdicts_) {
-    if (!first) json += ',';
-    first = false;
-    json += "{\"check\":\"" + json_escape(v.check) + "\",\"stage\":\"" +
-            json_escape(v.stage) + "\",\"severity\":\"" +
-            std::string(severity_name(v.severity)) +
-            "\",\"passed\":" + (v.passed ? "true" : "false") +
-            ",\"value\":" + format_json_double(v.value) +
-            ",\"detail\":\"" +
-            json_escape(v.detail) + "\"}";
-  }
-  json += "]";
-  return json;
+  JsonWriter w;
+  write_verdicts(w);
+  return w.take();
+}
+
+bool QualityBoard::write_summary(JsonWriter& w) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  const bool ok = failed_ == 0;
+  w.begin_object().key("ok").boolean(ok);
+  w.key("passed").integer(passed_);
+  w.key("warned").integer(warned_);
+  w.key("failed").integer(failed_);
+  w.key("verdicts");
+  write_verdicts(w);
+  w.end_object();
+  return ok;
 }
 
 void QualityBoard::clear() {

@@ -22,6 +22,10 @@
 #include <string_view>
 #include <vector>
 
+namespace cellscope {
+class JsonWriter;
+}
+
 namespace cellscope::obs {
 
 /// Escalation level of a *violated* check (a passing check always logs
@@ -88,6 +92,11 @@ class QualityBoard {
   /// JSON array of every stored verdict (insertion order).
   std::string verdicts_json() const;
 
+  /// Writes {"ok","passed","warned","failed","verdicts"} from one locked
+  /// read — the /healthz body and the run report's "quality" object —
+  /// and returns the "ok" it wrote.
+  bool write_summary(JsonWriter& w) const;
+
   /// Drops all pending checks and stored verdicts (tests, run isolation).
   void clear();
 
@@ -96,6 +105,9 @@ class QualityBoard {
 
  private:
   QualityBoard() = default;
+
+  /// Appends verdicts_ as a JSON array; the caller holds mutex_.
+  void write_verdicts(JsonWriter& w) const;
 
   struct Pending {
     std::string stage;

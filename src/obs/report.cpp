@@ -1,13 +1,11 @@
 #include "obs/report.h"
 
 #include <chrono>
-#include <cmath>
-#include <cstdio>
 #include <cstdlib>
-#include <map>
 #include <mutex>
 
 #include "common/error.h"
+#include "common/json.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/quality.h"
@@ -26,12 +24,8 @@ namespace cellscope::obs {
 
 namespace {
 
-std::string format_json_fixed(double v) {
-  if (!std::isfinite(v)) return "null";  // JSON has no nan/inf literal
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6f", v);
-  return buf;
-}
+/// Every number in a report (config values, stage times) prints "%.6f".
+constexpr auto kStyle = JsonNumber::kFixed6;
 
 /// The armed exit report: name fixed by the first caller, config merged
 /// across callers (an Experiment inside a bench contributes its rows to
@@ -107,75 +101,55 @@ void RunReport::add_config_json(std::string_view key,
 }
 
 void RunReport::add_config(std::string_view key, std::string_view value) {
-  add_config_json(key, '"' + json_escape(value) + '"');
+  add_config_json(key, JsonWriter().string(value).take());
 }
 
 void RunReport::add_config(std::string_view key, double value) {
-  add_config_json(key, format_json_fixed(value));
+  add_config_json(key, JsonWriter().number(value, kStyle).take());
 }
 
 void RunReport::add_config(std::string_view key, bool value) {
-  add_config_json(key, value ? "true" : "false");
+  add_config_json(key, JsonWriter().boolean(value).take());
 }
 
 void RunReport::add_config(std::string_view key, std::uint64_t value) {
-  add_config_json(key, std::to_string(value));
+  add_config_json(key, JsonWriter().integer(value).take());
 }
 
 void RunReport::add_config(std::string_view key, std::int64_t value) {
-  add_config_json(key, std::to_string(value));
+  add_config_json(key, JsonWriter().integer(value).take());
 }
 
 std::string RunReport::to_json() const {
   const BuildInfo build = build_info();
-  auto& board = QualityBoard::instance();
-
-  std::string json = "{\"report\":\"" + json_escape(name_) + "\"";
-  json += ",\"schema\":1";
-  json += ",\"created_unix_s\":" +
-          std::to_string(std::chrono::duration_cast<std::chrono::seconds>(
-                             std::chrono::system_clock::now()
-                                 .time_since_epoch())
-                             .count());
-  json += ",\"build\":{\"git_sha\":\"" + json_escape(build.git_sha) +
-          "\",\"build_type\":\"" + json_escape(build.build_type) +
-          "\",\"compiler\":\"" + json_escape(build.compiler) + "\"}";
-  json += ",\"config\":{";
-  bool first = true;
-  for (const auto& [key, token] : config_) {
-    if (!first) json += ',';
-    first = false;
-    json += '"' + json_escape(key) + "\":" + token;
-  }
-  json += "}";
-  json += ",\"wall_s\":" + format_json_fixed(now_us() / 1e6);
-  json += ",\"stages\":[";
-  first = true;
+  JsonWriter w;
+  w.begin_object().key("report").string(name_).key("schema").integer(1);
+  w.key("created_unix_s")
+      .integer(std::chrono::duration_cast<std::chrono::seconds>(
+                   std::chrono::system_clock::now().time_since_epoch())
+                   .count());
+  w.key("build").begin_object();
+  w.key("git_sha").string(build.git_sha);
+  w.key("build_type").string(build.build_type);
+  w.key("compiler").string(build.compiler).end_object();
+  w.key("config").begin_object();
+  for (const auto& [key, token] : config_) w.key(key).raw(token);
+  w.end_object().key("wall_s").number(now_us() / 1e6, kStyle);
+  w.key("stages").begin_array();
   for (const auto& e : StageTrace::instance().events()) {
-    if (!first) json += ',';
-    first = false;
-    json += "{\"name\":\"" + json_escape(e.name) + "\",\"cat\":\"" +
-            json_escape(e.category) +
-            "\",\"ts_us\":" + format_json_fixed(e.ts_us) +
-            ",\"dur_us\":" + format_json_fixed(e.dur_us) + '}';
+    w.begin_object().key("name").string(e.name).key("cat").string(e.category);
+    w.key("ts_us").number(e.ts_us, kStyle);
+    w.key("dur_us").number(e.dur_us, kStyle).end_object();
   }
-  json += "],\"metrics\":" + MetricsRegistry::instance().snapshot_json();
-  json += ",\"quality\":{\"passed\":" + std::to_string(board.passed()) +
-          ",\"warned\":" + std::to_string(board.warned()) +
-          ",\"failed\":" + std::to_string(board.failed()) +
-          ",\"ok\":" + (board.ok() ? "true" : "false") +
-          ",\"verdicts\":" + board.verdicts_json() + "}";
-  json += "}";
-  return json;
+  w.end_array().key("metrics").raw(MetricsRegistry::instance().snapshot_json());
+  w.key("quality");
+  QualityBoard::instance().write_summary(w);
+  w.end_object();
+  return w.take();
 }
 
 void RunReport::write(const std::string& path) const {
-  const std::string json = to_json();
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (!file) throw IoError("cannot write run report: " + path);
-  std::fwrite(json.data(), 1, json.size(), file);
-  std::fputc('\n', file);
-  std::fclose(file);
+  write_json_file(path, to_json());
 }
 
 bool arm_run_report(const std::string& name) {

@@ -1,13 +1,12 @@
 #include "obs/timer.h"
 
-#include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <mutex>
 #include <thread>
 #include <unordered_map>
 
-#include "common/error.h"
+#include "common/json.h"
 #include "obs/metrics.h"
 #include "obs/quality.h"
 
@@ -26,12 +25,6 @@ std::chrono::steady_clock::time_point process_start() {
 
 std::uint64_t current_tid() {
   return std::hash<std::thread::id>{}(std::this_thread::get_id()) & 0xFFFF;
-}
-
-std::string format_us(double us) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.3f", us);
-  return buf;
 }
 
 }  // namespace
@@ -161,30 +154,23 @@ std::uint64_t StageTrace::dropped() const {
 }
 
 std::string StageTrace::chrome_trace_json() const {
-  const auto completed = events();
-  std::string json = "{\"traceEvents\":[";
-  bool first = true;
-  for (const auto& e : completed) {
-    if (!first) json += ',';
-    first = false;
-    json += "{\"name\":\"" + json_escape(e.name) + "\",\"cat\":\"" +
-            json_escape(e.category) + "\",\"ph\":\"X\",\"ts\":" +
-            format_us(e.ts_us) + ",\"dur\":" + format_us(e.dur_us) +
-            ",\"pid\":1,\"tid\":" + std::to_string(e.tid);
-    if (!e.args.empty()) json += ",\"args\":{" + e.args + '}';
-    json += '}';
+  JsonWriter w;
+  w.begin_object().key("traceEvents").begin_array();
+  for (const auto& e : events()) {
+    w.begin_object().key("name").string(e.name).key("cat").string(e.category);
+    w.key("ph").string("X");
+    w.key("ts").number(e.ts_us, JsonNumber::kFixed3);
+    w.key("dur").number(e.dur_us, JsonNumber::kFixed3);
+    w.key("pid").integer(1).key("tid").integer(e.tid);
+    if (!e.args.empty()) w.key("args").raw('{' + e.args + '}');
+    w.end_object();
   }
-  json += "],\"displayTimeUnit\":\"ms\"}";
-  return json;
+  w.end_array().key("displayTimeUnit").string("ms").end_object();
+  return w.take();
 }
 
 void StageTrace::write_chrome_trace(const std::string& path) const {
-  const std::string json = chrome_trace_json();
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (!file) throw IoError("cannot write trace: " + path);
-  std::fwrite(json.data(), 1, json.size(), file);
-  std::fputc('\n', file);
-  std::fclose(file);
+  write_json_file(path, chrome_trace_json());
 }
 
 StageSpan::StageSpan(std::string_view stage, std::string_view category,

@@ -2,7 +2,6 @@
 
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 
 #include "analysis/component_analysis.h"
 #include "analysis/freq_features.h"
@@ -17,29 +16,17 @@ namespace cellscope::server {
 
 namespace {
 
-/// Round-trip-exact double for response bodies: 17 significant digits,
-/// so a client parsing the JSON recovers the server's double bit for bit
-/// (the `-L server` bit-identity tests depend on this).
-std::string json_double(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
+/// Response doubles print round-trip exact, so a client parsing the JSON
+/// recovers the server's double bit for bit (the `-L server` bit-identity
+/// tests depend on this).
+constexpr auto kStyle = JsonNumber::kRoundTrip;
 
-HttpResponse json_response(int status, std::string body) {
+HttpResponse json_response(int status, JsonWriter& w) {
   HttpResponse response;
   response.status = status;
   response.content_type = "application/json";
-  response.body = std::move(body);
+  response.body = w.take();
   return response;
-}
-
-HttpResponse error_response(int status, std::string_view message) {
-  // Messages can carry exception text (paths, quotes) — escape so the
-  // body stays valid JSON no matter what e.what() contains.
-  return json_response(status,
-                       "{\"error\":\"" + obs::json_escape(message) + "\"}");
 }
 
 /// Strict decimal parse of a path segment / query value.
@@ -52,18 +39,13 @@ std::optional<std::uint64_t> parse_u64(std::string_view s) {
   return value;
 }
 
-std::string classification_json(const Classification& c,
-                                std::uint64_t epoch) {
-  std::string json = "{\"cluster\":" + std::to_string(c.cluster);
-  json += ",\"region\":\"" + region_name(c.region) + "\"";
-  json += ",\"distance\":" + json_double(c.distance);
-  json += ",\"confidence\":" + json_double(c.confidence);
-  json += std::string(",\"cold_start\":") + (c.cold_start ? "true" : "false");
-  json += ",\"model_epoch\":" + std::to_string(epoch) + "}";
-  return json;
-}
-
 }  // namespace
+
+HttpResponse error_response(int status, std::string_view message) {
+  JsonWriter w;
+  w.begin_object().key("error").string(message).end_object();
+  return json_response(status, w);
+}
 
 std::string_view endpoint_name(Endpoint endpoint) {
   switch (endpoint) {
@@ -213,9 +195,15 @@ HttpResponse QueryService::handle_class(std::uint32_t tower_id) const {
     return error_response(404, "no window for this tower");
   }
   const Classification c = classifier->classify(window);
-  std::string json = "{\"tower\":" + std::to_string(tower_id);
-  json += ",\"classification\":" + classification_json(c, epoch) + "}";
-  return json_response(200, std::move(json));
+  JsonWriter w;
+  w.begin_object().key("tower").integer(tower_id);
+  w.key("classification").begin_object().key("cluster").integer(c.cluster);
+  w.key("region").string(region_name(c.region));
+  w.key("distance").number(c.distance, kStyle);
+  w.key("confidence").number(c.confidence, kStyle);
+  w.key("cold_start").boolean(c.cold_start);
+  w.key("model_epoch").integer(epoch).end_object().end_object();
+  return json_response(200, w);
 }
 
 HttpResponse QueryService::handle_window(std::uint32_t tower_id) const {
@@ -225,14 +213,15 @@ HttpResponse QueryService::handle_window(std::uint32_t tower_id) const {
   } catch (const InvalidArgument&) {
     return error_response(404, "no window for this tower");
   }
-  std::string json = "{\"tower\":" + std::to_string(tower_id);
-  json += ",\"observed_slots\":" + std::to_string(stats.observed_slots);
-  json += ",\"total_bytes\":" + std::to_string(stats.total_bytes);
-  json += ",\"mean\":" + json_double(stats.mean);
-  json += ",\"variance\":" + json_double(stats.variance);
-  json += ",\"latest_minute\":" + std::to_string(stats.latest_minute);
-  json += ",\"latest_cycle\":" + std::to_string(stats.latest_cycle) + "}";
-  return json_response(200, std::move(json));
+  JsonWriter w;
+  w.begin_object().key("tower").integer(tower_id);
+  w.key("observed_slots").integer(stats.observed_slots);
+  w.key("total_bytes").integer(stats.total_bytes);
+  w.key("mean").number(stats.mean, kStyle);
+  w.key("variance").number(stats.variance, kStyle);
+  w.key("latest_minute").integer(stats.latest_minute);
+  w.key("latest_cycle").integer(stats.latest_cycle).end_object();
+  return json_response(200, w);
 }
 
 HttpResponse QueryService::handle_forecast(std::uint32_t tower_id,
@@ -257,30 +246,27 @@ HttpResponse QueryService::handle_forecast(std::uint32_t tower_id,
     return error_response(404, "no window for this tower");
   }
   const auto history = window.observed_history();
+  JsonWriter w;
   if (history.size() < PatternForecaster::kMinMatchSlots) {
-    return json_response(
-        409, "{\"error\":\"insufficient history for a forecast\","
-             "\"observed_slots\":" +
-                 std::to_string(history.size()) + ",\"required_slots\":" +
-                 std::to_string(PatternForecaster::kMinMatchSlots) + "}");
+    w.begin_object().key("error").string("insufficient history for a forecast");
+    w.key("observed_slots").integer(history.size());
+    w.key("required_slots").integer(PatternForecaster::kMinMatchSlots);
+    w.end_object();
+    return json_response(409, w);
   }
 
   const auto& forecaster = classifier->forecaster();
   const std::size_t matched = forecaster.match(history);
   const auto values = forecaster.forecast(history, horizon);
-  std::string json = "{\"tower\":" + std::to_string(tower_id);
-  json += ",\"horizon\":" + std::to_string(horizon);
-  json += ",\"template\":" + std::to_string(matched);
-  json += ",\"region\":\"" +
-          region_name(classifier->model().regions[matched]) + "\"";
-  json += ",\"model_epoch\":" + std::to_string(model_epoch());
-  json += ",\"values\":[";
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) json += ',';
-    json += json_double(values[i]);
-  }
-  json += "]}";
-  return json_response(200, std::move(json));
+  w.begin_object().key("tower").integer(tower_id);
+  w.key("horizon").integer(horizon);
+  w.key("template").integer(matched);
+  w.key("region").string(region_name(classifier->model().regions[matched]));
+  w.key("model_epoch").integer(model_epoch());
+  w.key("values").begin_array();
+  for (const double v : values) w.number(v, kStyle);
+  w.end_array().end_object();
+  return json_response(200, w);
 }
 
 HttpResponse QueryService::handle_classify(const HttpRequest& request) const {
@@ -320,10 +306,10 @@ HttpResponse QueryService::handle_classify(const HttpRequest& request) const {
   double best = 0.0;
   const std::size_t best_cluster = classifier->nearest_centroid(folded, &best);
 
-  std::string json = "{\"cluster\":" + std::to_string(best_cluster);
-  json += ",\"region\":\"" +
-          region_name(snapshot.regions[best_cluster]) + "\"";
-  json += ",\"distance\":" + json_double(best);
+  JsonWriter w;
+  w.begin_object().key("cluster").integer(best_cluster);
+  w.key("region").string(region_name(snapshot.regions[best_cluster]));
+  w.key("distance").number(best, kStyle);
 
   if (snapshot.has_primaries) {
     // Convex weights over the four primary components (§5.3), from the
@@ -332,51 +318,43 @@ HttpResponse QueryService::handle_classify(const HttpRequest& request) const {
     const auto feature = compute_week_freq_features(folded).qp_feature();
     const auto decomposition =
         decompose_feature(feature, snapshot.primary_features);
-    json += ",\"weights\":[";
-    for (std::size_t w = 0; w < decomposition.coefficients.size(); ++w) {
-      if (w > 0) json += ',';
-      json += json_double(decomposition.coefficients[w]);
-    }
-    json += "],\"residual\":" + json_double(decomposition.residual);
-    json += ",\"confidence\":" +
-            json_double(1.0 / (1.0 + decomposition.residual));
+    w.key("weights").begin_array();
+    for (const double weight : decomposition.coefficients)
+      w.number(weight, kStyle);
+    w.end_array().key("residual").number(decomposition.residual, kStyle);
+    w.key("confidence").number(1.0 / (1.0 + decomposition.residual), kStyle);
   } else {
-    json += ",\"weights\":null,\"confidence\":" +
-            json_double(1.0 / (1.0 + std::sqrt(best)));
+    w.key("weights").null();
+    w.key("confidence").number(1.0 / (1.0 + std::sqrt(best)), kStyle);
   }
-  json += ",\"model_epoch\":" + std::to_string(model_epoch()) + "}";
-  return json_response(200, std::move(json));
+  w.key("model_epoch").integer(model_epoch()).end_object();
+  return json_response(200, w);
 }
 
 HttpResponse QueryService::handle_stats() const {
   const auto& metrics = ServerMetrics::instance();
-  std::string json = "{\"model_epoch\":" + std::to_string(model_epoch());
-  json += ",\"model_published\":";
-  json += model() != nullptr ? "true" : "false";
-  json += ",\"requests\":" + std::to_string(metrics.requests->value());
-  json += ",\"errors_500\":" + std::to_string(metrics.errors_500->value());
-  json += ",\"bad_requests\":" +
-          std::to_string(metrics.bad_requests->value());
-  json += ",\"shed_503\":" + std::to_string(metrics.shed_503->value());
-  json += ",\"shed_429\":" + std::to_string(metrics.shed_429->value());
-  json += ",\"accept_errors\":" +
-          std::to_string(metrics.accept_errors->value());
-  json += ",\"reply_partial\":" +
-          std::to_string(metrics.reply_partial->value());
-  json += ",\"connections\":" +
-          std::to_string(metrics.connections->value());
-  json += ",\"queue_depth\":" + std::to_string(metrics.queue_depth->value());
-  json += ",\"endpoints\":{";
+  JsonWriter w;
+  w.begin_object().key("model_epoch").integer(model_epoch());
+  w.key("model_published").boolean(model() != nullptr);
+  w.key("requests").integer(metrics.requests->value());
+  w.key("errors_500").integer(metrics.errors_500->value());
+  w.key("bad_requests").integer(metrics.bad_requests->value());
+  w.key("shed_503").integer(metrics.shed_503->value());
+  w.key("shed_429").integer(metrics.shed_429->value());
+  w.key("accept_errors").integer(metrics.accept_errors->value());
+  w.key("reply_partial").integer(metrics.reply_partial->value());
+  w.key("connections").integer(metrics.connections->value());
+  w.key("queue_depth").integer(metrics.queue_depth->value());
+  w.key("endpoints").begin_object();
   for (std::size_t e = 0; e < kEndpointCount; ++e) {
     const auto* histogram = metrics.latency_ms[e];
-    if (e > 0) json += ',';
-    json += "\"" + std::string(endpoint_name(static_cast<Endpoint>(e))) +
-            "\":{\"requests\":" + std::to_string(histogram->count());
-    json += ",\"p50_ms\":" + json_double(histogram->quantile(0.5));
-    json += ",\"p99_ms\":" + json_double(histogram->quantile(0.99)) + "}";
+    w.key(endpoint_name(static_cast<Endpoint>(e))).begin_object();
+    w.key("requests").integer(histogram->count());
+    w.key("p50_ms").number(histogram->quantile(0.5), kStyle);
+    w.key("p99_ms").number(histogram->quantile(0.99), kStyle).end_object();
   }
-  json += "},\"ingest\":" + ingestor_.status_json() + "}";
-  return json_response(200, std::move(json));
+  w.end_object().key("ingest").raw(ingestor_.status_json()).end_object();
+  return json_response(200, w);
 }
 
 }  // namespace cellscope::server

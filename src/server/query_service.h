@@ -64,6 +64,11 @@ inline constexpr std::size_t kEndpointCount = 6;
 /// and the /stats body.
 std::string_view endpoint_name(Endpoint endpoint);
 
+/// A JSON error response: {"error":"<message>"}, the message escaped (it
+/// can carry exception text). Used for every typed rejection, by the
+/// service and by the socket loop alike.
+HttpResponse error_response(int status, std::string_view message);
+
 /// Process-global serving-plane metrics (registered once, cached — the
 /// same pattern as the stream ingestor's counters). Shared by the
 /// service (request accounting) and the socket server (admission and

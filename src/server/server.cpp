@@ -27,11 +27,8 @@ void close_quiet(int fd) {
 
 /// Frames a typed JSON error that ends the connection.
 std::string error_frame(int status, std::string_view reason) {
-  HttpResponse response;
-  response.status = status;
-  response.content_type = "application/json";
-  response.body = "{\"error\":\"" + std::string(reason) + "\"}";
-  return serialize_response(response, /*keep_alive=*/false);
+  return serialize_response(error_response(status, reason),
+                            /*keep_alive=*/false);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include "common/env.h"
 #include "common/error.h"
+#include "common/json.h"
 #include "obs/introspect.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -549,45 +550,37 @@ std::vector<ShardStats> StreamIngestor::shard_stats() const {
 
 std::string StreamIngestor::status_json() const {
   const IngestStats totals = stats();
-  std::string json = "{\"watermark_minute\":";
-  json += std::to_string(totals.watermark_minute);
-  json += ",\"low_watermark_minute\":";
-  json += std::to_string(totals.low_watermark_minute);
-  json += ",\"offered\":" + std::to_string(totals.offered);
-  json += ",\"accepted\":" + std::to_string(totals.accepted);
-  json += ",\"dropped\":" + std::to_string(totals.dropped);
-  json += ",\"late\":" + std::to_string(totals.late);
-  json += ",\"stale\":" + std::to_string(totals.stale);
-  json += ",\"pending\":" + std::to_string(pending());
+  JsonWriter w;
+  w.begin_object().key("watermark_minute").integer(totals.watermark_minute);
+  w.key("low_watermark_minute").integer(totals.low_watermark_minute);
+  w.key("offered").integer(totals.offered);
+  w.key("accepted").integer(totals.accepted);
+  w.key("dropped").integer(totals.dropped);
+  w.key("late").integer(totals.late);
+  w.key("stale").integer(totals.stale);
+  w.key("pending").integer(pending());
   // Trace-ingest IO counters (traffic/columnar.h): how the records got
   // here — chunks decoded/skipped/corrupt and bytes mapped so far.
-  {
-    const auto& io = columnar::io_metrics();
-    json += ",\"io\":{\"chunks_read\":" +
-            std::to_string(io.chunks_read->value());
-    json += ",\"chunks_skipped\":" + std::to_string(io.chunks_skipped->value());
-    json += ",\"chunks_corrupt\":" + std::to_string(io.chunks_corrupt->value());
-    json += ",\"bytes_mapped\":" + std::to_string(io.bytes_mapped->value());
-    json += '}';
-  }
-  json += ",\"shards\":[";
-  bool first = true;
+  const auto& io = columnar::io_metrics();
+  w.key("io").begin_object();
+  w.key("chunks_read").integer(io.chunks_read->value());
+  w.key("chunks_skipped").integer(io.chunks_skipped->value());
+  w.key("chunks_corrupt").integer(io.chunks_corrupt->value());
+  w.key("bytes_mapped").integer(io.bytes_mapped->value());
+  w.end_object().key("shards").begin_array();
   for (const ShardStats& shard : shard_stats()) {
-    if (!first) json += ',';
-    first = false;
-    json += "{\"shard\":" + std::to_string(shard.shard);
-    json += ",\"queue_depth\":" + std::to_string(shard.queue_depth);
-    json += ",\"towers\":" + std::to_string(shard.towers);
-    json += ",\"dropped\":" + std::to_string(shard.dropped);
-    json += ",\"watermark_minute\":" + std::to_string(shard.watermark_minute);
-    json += ",\"low_watermark_minute\":" +
-            std::to_string(shard.low_watermark_minute);
-    json += ",\"unclassified_age_ms\":" +
-            std::to_string(shard.unclassified_age_ms);
-    json += '}';
+    w.begin_object().key("shard").integer(shard.shard);
+    w.key("queue_depth").integer(shard.queue_depth);
+    w.key("towers").integer(shard.towers);
+    w.key("dropped").integer(shard.dropped);
+    w.key("watermark_minute").integer(shard.watermark_minute);
+    w.key("low_watermark_minute").integer(shard.low_watermark_minute);
+    w.key("unclassified_age_ms")
+        .number(shard.unclassified_age_ms, JsonNumber::kFixed6);
+    w.end_object();
   }
-  json += "]}";
-  return json;
+  w.end_array().end_object();
+  return w.take();
 }
 
 std::vector<std::uint32_t> StreamIngestor::tower_ids() const {

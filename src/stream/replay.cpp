@@ -4,6 +4,7 @@
 #include <fstream>
 
 #include "common/error.h"
+#include "common/json.h"
 #include "common/rng.h"
 #include "obs/metrics.h"
 #include "obs/quality.h"
@@ -82,8 +83,11 @@ ReplayStats replay_trace(const std::vector<TrafficLog>& logs,
 
   obs::ScopedTimer timer;
   const auto dump_metrics = [&] {
-    metrics_out << "{\"wall_ms\":" << timer.elapsed_ms() << ",\"metrics\":"
-                << obs::MetricsRegistry::instance().snapshot_json() << "}\n";
+    JsonWriter line;
+    line.begin_object();
+    line.key("wall_ms").number(timer.elapsed_ms(), JsonNumber::kFixed6);
+    line.key("metrics").raw(obs::MetricsRegistry::instance().snapshot_json());
+    metrics_out << line.end_object().take() << '\n';
     metrics_out.flush();  // a live tail -f must see complete lines
     ++stats.metrics_snapshots;
   };

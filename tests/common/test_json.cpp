@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <limits>
+#include <string>
 
 #include "common/error.h"
 
@@ -116,6 +119,74 @@ TEST(Json, RoundTripsMetricSnapshotShape) {
   const auto& h = v.at("histograms").at("h");
   EXPECT_DOUBLE_EQ(h.number_or("p50", 0.0), 1.5);
   EXPECT_EQ(h.at("buckets").as_array().size(), 2u);
+}
+
+TEST(JsonWriter, PlacesSeparatorsAtEveryNestingLevel) {
+  JsonWriter w;
+  w.begin_object().key("a").begin_array().end_array();
+  w.key("b").begin_object().end_object();
+  w.key("c").begin_array().integer(1).begin_array().integer(-2).null();
+  w.end_array().boolean(true).begin_object().key("d").boolean(false);
+  w.end_object().end_array().key("e").raw("{\"pre\":[0]}").end_object();
+  EXPECT_EQ(w.take(),
+            "{\"a\":[],\"b\":{},\"c\":[1,[-2,null],true,{\"d\":false}],"
+            "\"e\":{\"pre\":[0]}}");
+}
+
+TEST(JsonWriter, EscapesKeysAndStrings) {
+  JsonWriter w;
+  w.begin_object().key("k\"\n").string("v\\\t\x01\xC3\xA9").end_object();
+  EXPECT_EQ(w.take(), "{\"k\\\"\\n\":\"v\\\\\\t\\u0001\xC3\xA9\"}");
+}
+
+TEST(JsonWriter, PrintsEachNumberStyle) {
+  const auto print = [](double v, JsonNumber style) {
+    return JsonWriter().number(v, style).take();
+  };
+  EXPECT_EQ(print(0.1, JsonNumber::kRoundTrip), "0.10000000000000001");
+  EXPECT_EQ(print(0.1, JsonNumber::kCompact), "0.1");
+  EXPECT_EQ(print(0.1, JsonNumber::kFixed6), "0.100000");
+  EXPECT_EQ(print(0.1, JsonNumber::kFixed3), "0.100");
+  EXPECT_EQ(print(1234567.8, JsonNumber::kCompact), "1234567.8");
+  EXPECT_EQ(print(1e10, JsonNumber::kCompact), "1e+10");
+  EXPECT_EQ(print(-0.0, JsonNumber::kRoundTrip), "-0");
+  EXPECT_EQ(print(2.5e-7, JsonNumber::kFixed6), "0.000000");
+  // Fixed notation prints every integer digit, however many.
+  EXPECT_EQ(print(1e30, JsonNumber::kFixed6),
+            "1000000000000000019884624838656.000000");
+  for (const JsonNumber style : {JsonNumber::kRoundTrip, JsonNumber::kCompact,
+                                 JsonNumber::kFixed6, JsonNumber::kFixed3}) {
+    EXPECT_EQ(print(std::numeric_limits<double>::quiet_NaN(), style), "null");
+    EXPECT_EQ(print(std::numeric_limits<double>::infinity(), style), "null");
+    EXPECT_EQ(print(-std::numeric_limits<double>::infinity(), style), "null");
+  }
+  constexpr double kMax = std::numeric_limits<double>::max();
+  EXPECT_EQ(print(kMax, JsonNumber::kRoundTrip), "1.7976931348623157e+308");
+  EXPECT_EQ(print(kMax, JsonNumber::kCompact), "1.79769313e+308");
+  EXPECT_EQ(print(kMax, JsonNumber::kFixed6).size(), 309u + 7u);
+  EXPECT_EQ(print(-kMax, JsonNumber::kFixed3).size(), 1u + 309u + 4u);
+}
+
+TEST(JsonWriter, PrintsIntegersOfEveryWidth) {
+  JsonWriter w;
+  w.begin_array().integer(std::numeric_limits<std::int64_t>::min());
+  w.integer(std::numeric_limits<std::uint64_t>::max());
+  w.integer(std::uint32_t{7}).integer(-1).end_array();
+  EXPECT_EQ(w.take(),
+            "[-9223372036854775808,18446744073709551615,7,-1]");
+}
+
+TEST(JsonFile, WritesDocumentAndNewline) {
+  const std::string path = ::testing::TempDir() + "json_file_test.json";
+  write_json_file(path, "{\"a\":1}");
+  std::FILE* file = std::fopen(path.c_str(), "r");
+  ASSERT_NE(file, nullptr);
+  char buf[16] = {};
+  const std::size_t n = std::fread(buf, 1, sizeof(buf), file);
+  std::fclose(file);
+  std::remove(path.c_str());
+  EXPECT_EQ(std::string(buf, n), "{\"a\":1}\n");
+  EXPECT_THROW(write_json_file("/nonexistent_dir_zz/x.json", "{}"), IoError);
 }
 
 }  // namespace

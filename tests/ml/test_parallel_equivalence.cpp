@@ -24,7 +24,6 @@
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/time_grid.h"
-#include "dsp/fft.h"
 #include "mapred/thread_pool.h"
 #include "ml/distance.h"
 #include "ml/hierarchical.h"
@@ -299,28 +298,6 @@ TEST(SimdDispatchEquivalence, DistanceMatrixNonFiniteBitIdentical) {
   }
   for (std::size_t r = 1; r < results.size(); ++r)
     EXPECT_TRUE(bit_equal(results[0], results[r]));
-}
-
-TEST(SimdDispatchEquivalence, FftBitIdenticalAcrossIsas) {
-  Rng rng(13);
-  // Power-of-two radix-2 path and the Bluestein path (1008 is the folded
-  // week; prime 251 exercises odd-length chirp products, whose tails run
-  // the vector kernels' scalar remainder lanes).
-  for (const std::size_t n : {std::size_t{1024}, std::size_t{1008},
-                              std::size_t{251}}) {
-    std::vector<Complex> input(n);
-    for (auto& c : input) c = Complex(rng.normal(), rng.normal());
-    std::vector<std::vector<Complex>> forward, inverse;
-    for (const simd::Isa isa : sweep_isas()) {
-      ForcedIsa forced(isa);
-      forward.push_back(fft(input, false));
-      inverse.push_back(fft(input, true));
-    }
-    for (std::size_t r = 1; r < forward.size(); ++r) {
-      EXPECT_TRUE(bit_equal(forward[0], forward[r])) << "n=" << n;
-      EXPECT_TRUE(bit_equal(inverse[0], inverse[r])) << "n=" << n;
-    }
-  }
 }
 
 TEST(SimdDispatchEquivalence, ZscoreAndFoldBitIdenticalAcrossIsas) {

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <string>
 
+#include <unistd.h>
+
 #include "common/error.h"
 #include "common/json.h"
 #include "core/experiment.h"
@@ -105,6 +107,16 @@ TEST(RunReport, WriteProducesParseableFile) {
 TEST(RunReport, WriteToBadPathThrowsIoError) {
   RunReport report("bad_path");
   EXPECT_THROW(report.write("/nonexistent_dir_zz/report.json"), IoError);
+}
+
+// /dev/full opens fine and fails every write with ENOSPC: a report or
+// trace that cannot reach the disk must throw, not leave a truncated file
+// behind a "written" log line.
+TEST(RunReport, WriteToFullDiskThrowsIoError) {
+  if (::access("/dev/full", W_OK) != 0) GTEST_SKIP() << "no /dev/full";
+  EXPECT_THROW(RunReport("full_disk").write("/dev/full"), IoError);
+  EXPECT_THROW(StageTrace::instance().write_chrome_trace("/dev/full"),
+               IoError);
 }
 
 // The acceptance path: a full (small) pipeline run must register and
