@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
 # Streaming race + crash-safety check: configure a ThreadSanitizer build
-# in build-tsan/, build the stream, fault, and introspection test suites,
-# and run `ctest -L 'stream|fault|introspect|io'` under it. The sharded
+# in build-tsan/, build the stream, fault, introspection, io and
+# serial/parallel equivalence suites, and run
+# `ctest -L 'stream|fault|introspect|io|par'` under it. The sharded
 # ingestor's lock striping, the bounded thread-pool queue, the
 # classify-all pass, the snapshot write/restore paths with injected
-# faults, the embedded stats server scraping live metric traffic, and
-# the columnar trace codecs feeding the bulk ingest path are the
-# intended targets (DESIGN.md §7, §9, and §10); any data race or
+# faults, the embedded stats server scraping live metric traffic,
+# the columnar trace codecs feeding the bulk ingest path, and the pooled
+# analytics core writing its preallocated rows are the intended targets
+# (DESIGN.md §7, §8, §9, and §10); any data race or
 # crash-safety violation fails the run.
 #
 # Usage:
@@ -23,7 +25,8 @@ cmake -B "${build_dir}" -S "${repo_root}" -DCELLSCOPE_SANITIZE=thread
 
 cmake --build "${build_dir}" -j --target test_stream --target test_obs \
   --target test_fault --target snapshot_fuzz --target test_introspect \
-  --target test_io
+  --target test_io --target test_parallel
 
-echo "check_stream: running ctest -L 'stream|fault|introspect|io' under ThreadSanitizer"
-ctest --test-dir "${build_dir}" -L 'stream|fault|introspect|io' --output-on-failure
+echo "check_stream: running ctest -L 'stream|fault|introspect|io|par' under ThreadSanitizer"
+ctest --test-dir "${build_dir}" -L 'stream|fault|introspect|io|par' \
+  --output-on-failure

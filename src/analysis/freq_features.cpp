@@ -2,7 +2,6 @@
 
 #include <array>
 #include <cmath>
-#include <functional>
 #include <tuple>
 #include <utility>
 
@@ -15,17 +14,6 @@
 namespace cellscope {
 
 namespace {
-
-/// fn(i) for every row — pooled when available, serial otherwise. Rows
-/// are independent, so both paths produce identical output.
-void for_each_row(ThreadPool* pool, std::size_t n,
-                  const std::function<void(std::size_t)>& fn) {
-  if (pool != nullptr && pool->thread_count() > 1 && n > 1) {
-    pool->parallel_for(n, fn);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-  }
-}
 
 constexpr std::size_t kWeekSlots = TimeGrid::kSlotsPerWeek;
 constexpr std::size_t kWeeks = TimeGrid::kWeeks;
@@ -98,7 +86,7 @@ FreqFeatures compute_week_freq_features(std::span<const double> folded_week) {
 std::vector<FreqFeatures> compute_freq_features(
     const std::vector<std::vector<double>>& zscored_rows, ThreadPool* pool) {
   std::vector<FreqFeatures> out(zscored_rows.size());
-  for_each_row(pool, zscored_rows.size(), [&](std::size_t i) {
+  run_indexed(pool, zscored_rows.size(), [&](std::size_t i) {
     out[i] = compute_freq_features(zscored_rows[i]);
   });
   return out;
@@ -113,13 +101,13 @@ std::vector<double> amplitude_variance_spectrum(
   std::vector<std::vector<double>> amp_by_k(
       max_k + 1, std::vector<double>(n, 0.0));
   // Each worker owns column i across every frequency row — disjoint slots.
-  for_each_row(pool, n, [&](std::size_t i) {
+  run_indexed(pool, n, [&](std::size_t i) {
     const Spectrum spectrum(zscored_rows[i]);
     for (std::size_t k = 0; k <= max_k; ++k)
       amp_by_k[k][i] = spectrum.normalized_amplitude(k);
   });
   std::vector<double> var(max_k + 1, 0.0);
-  for_each_row(pool, max_k + 1,
+  run_indexed(pool, max_k + 1,
                [&](std::size_t k) { var[k] = variance(amp_by_k[k]); });
   return var;
 }

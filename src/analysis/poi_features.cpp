@@ -3,17 +3,18 @@
 #include <cmath>
 
 #include "common/error.h"
+#include "mapred/thread_pool.h"
 #include "ml/hierarchical.h"
 
 namespace cellscope {
 
 std::vector<std::array<std::size_t, kNumPoiTypes>> poi_counts_for_towers(
     const PoiDatabase& pois, const std::vector<Tower>& towers,
-    double radius_m) {
-  std::vector<std::array<std::size_t, kNumPoiTypes>> out;
-  out.reserve(towers.size());
-  for (const auto& t : towers)
-    out.push_back(pois.counts_near(t.position, radius_m));
+    double radius_m, ThreadPool* pool) {
+  std::vector<std::array<std::size_t, kNumPoiTypes>> out(towers.size());
+  run_indexed(pool, towers.size(), [&](std::size_t i) {
+    out[i] = pois.counts_near(towers[i].position, radius_m);
+  });
   return out;
 }
 

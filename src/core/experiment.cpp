@@ -96,7 +96,8 @@ Experiment Experiment::run(const ExperimentConfig& config) {
   {
     obs::StageSpan span("pipeline.vectorize");
     e.matrix_ = vectorize_intensity(e.towers_, *e.intensity_,
-                                    config.seed ^ 0x94D049BB133111EBULL);
+                                    config.seed ^ 0x94D049BB133111EBULL,
+                                    &pool);
     obs::QualityBoard::instance().add_check(
         "pipeline.vectorize", "matrix_finite", obs::Severity::kFail,
         [&rows = e.matrix_.rows] { return obs::check_finite_rows(rows); });
@@ -170,7 +171,8 @@ Experiment Experiment::run(const ExperimentConfig& config) {
   // 6. POI labeling + validation.
   {
     obs::StageSpan span("pipeline.label_validate");
-    e.poi_counts_ = poi_counts_for_towers(*e.pois_, e.towers_);
+    e.poi_counts_ =
+        poi_counts_for_towers(*e.pois_, e.towers_, kPoiRadiusM, &pool);
     const auto normalized =
         normalized_poi_by_cluster(e.poi_counts_, e.labels_);
     e.labeling_ = label_clusters_by_poi(normalized);

@@ -38,6 +38,11 @@ class SpatialIndex {
  private:
   std::size_t bucket_of(const LatLon& p) const;
 
+  /// fn(i) for every point within `radius_m` meters of `center`, in
+  /// bucket order (shared by query_radius and count_radius).
+  template <typename Fn>
+  void for_each_within(const LatLon& center, double radius_m, Fn&& fn) const;
+
   BoundingBox box_;
   std::vector<LatLon> points_;
   std::size_t rows_ = 0;

@@ -121,6 +121,14 @@ class ThreadPool {
   obs::Gauge* metric_queue_depth_;
 };
 
+/// fn(i) for i in [0, n): pool->parallel_for when `pool` has more than
+/// one worker and n > 1, an inline loop otherwise. Every pooled analytics
+/// stage dispatches through this; callers keep per-index work independent
+/// (each i writes only its own preallocated output), so both paths
+/// produce bit-identical results (DESIGN.md §8).
+void run_indexed(ThreadPool* pool, std::size_t n,
+                 const std::function<void(std::size_t)>& fn);
+
 /// A sensible default worker count for this machine (at least 2 so the
 /// MapReduce path is genuinely concurrent even on single-core CI).
 std::size_t default_thread_count();

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <iterator>
 #include <limits>
 
@@ -14,22 +13,6 @@
 #include "obs/timer.h"
 
 namespace cellscope {
-
-namespace {
-
-/// fn(i) for i in [0, n) — on the pool when one is available, inline
-/// otherwise. Callers keep per-index work independent, so both paths
-/// produce identical results.
-void run_indexed(ThreadPool* pool, std::size_t n,
-                 const std::function<void(std::size_t)>& fn) {
-  if (pool != nullptr && pool->thread_count() > 1 && n > 1) {
-    pool->parallel_for(n, fn);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-  }
-}
-
-}  // namespace
 
 std::vector<std::vector<double>> cluster_centroids(
     const std::vector<std::vector<double>>& points,

@@ -7,6 +7,7 @@
 #include <unordered_map>
 
 #include "common/json.h"
+#include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/quality.h"
 
@@ -69,8 +70,11 @@ StageTrace::~StageTrace() {
   if (!exit_path_.empty()) {
     try {
       write_chrome_trace(exit_path_);
-    } catch (...) {
-      // Exit-time trace dumps must never terminate the process.
+    } catch (const std::exception& e) {
+      // Exit-time trace dumps must never terminate the process, but a
+      // lost trace is reported the way a lost run report is.
+      log_warn("trace.write_failed",
+               {{"path", exit_path_}, {"error", e.what()}});
     }
   }
   // state_ is intentionally leaked: spans closing from other static

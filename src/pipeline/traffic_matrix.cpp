@@ -1,6 +1,5 @@
 #include "pipeline/traffic_matrix.h"
 
-#include <functional>
 #include <unordered_set>
 
 #include "common/error.h"
@@ -9,21 +8,6 @@
 #include "simd/simd.h"
 
 namespace cellscope {
-
-namespace {
-
-/// fn(i) for every row — pooled when available, serial otherwise. Rows
-/// are independent, so both paths produce identical output.
-void for_each_row(ThreadPool* pool, std::size_t n,
-                  const std::function<void(std::size_t)>& fn) {
-  if (pool != nullptr && pool->thread_count() > 1 && n > 1) {
-    pool->parallel_for(n, fn);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-  }
-}
-
-}  // namespace
 
 std::size_t TrafficMatrix::row_of(std::uint32_t tower_id) const {
   for (std::size_t i = 0; i < tower_ids.size(); ++i)
@@ -46,7 +30,7 @@ void TrafficMatrix::check() const {
 std::vector<std::vector<double>> zscore_rows(const TrafficMatrix& matrix,
                                              ThreadPool* pool) {
   std::vector<std::vector<double>> out(matrix.n());
-  for_each_row(pool, matrix.n(),
+  run_indexed(pool, matrix.n(),
                [&](std::size_t i) { out[i] = zscore(matrix.rows[i]); });
   return out;
 }
@@ -54,7 +38,7 @@ std::vector<std::vector<double>> zscore_rows(const TrafficMatrix& matrix,
 std::vector<std::vector<double>> fold_to_week(
     const std::vector<std::vector<double>>& rows, ThreadPool* pool) {
   std::vector<std::vector<double>> out(rows.size());
-  for_each_row(pool, rows.size(), [&](std::size_t i) {
+  run_indexed(pool, rows.size(), [&](std::size_t i) {
     const auto& row = rows[i];
     CS_CHECK_MSG(row.size() == TimeGrid::kSlots,
                  "fold_to_week expects 4032-slot rows");

@@ -75,19 +75,30 @@ TrafficMatrix vectorize_logs(const std::vector<TrafficLog>& logs,
 
 TrafficMatrix vectorize_intensity(const std::vector<Tower>& towers,
                                   const IntensityModel& intensity,
-                                  std::uint64_t seed) {
+                                  std::uint64_t seed, ThreadPool* pool) {
   CS_CHECK_MSG(towers.size() == intensity.size(),
                "towers and intensity model must match");
   obs::ScopedTimer timer;
+  // Every tower's stream is forked up front, in tower order, so a row's
+  // draws do not depend on which worker samples it.
   Rng rng(seed);
+  std::vector<Rng> streams;
+  streams.reserve(towers.size());
+  for (std::size_t i = 0; i < towers.size(); ++i)
+    streams.push_back(rng.fork());
+
+  // Rows are allocated here, on the calling thread, and the workers fill
+  // them in place: rows malloc'd by the workers land in per-thread malloc
+  // arenas, which measurably slowed the replay run after a training pass
+  // (DESIGN.md §8).
   TrafficMatrix matrix;
   matrix.tower_ids.reserve(towers.size());
-  matrix.rows.reserve(towers.size());
-  for (const auto& t : towers) {
-    Rng tower_rng = rng.fork();
-    matrix.tower_ids.push_back(t.id);
-    matrix.rows.push_back(intensity.sample_series(t.id, tower_rng));
-  }
+  for (const auto& t : towers) matrix.tower_ids.push_back(t.id);
+  matrix.rows.assign(towers.size(), std::vector<double>(TimeGrid::kSlots));
+  run_indexed(pool, towers.size(), [&](std::size_t i) {
+    intensity.sample_series_into(towers[i].id, streams[i],
+                                 matrix.rows[i].data());
+  });
   matrix.check();
   obs::MetricsRegistry::instance()
       .counter("cellscope.pipeline.vectorizer_rows")

@@ -38,9 +38,11 @@ TrafficMatrix vectorize_logs(const std::vector<TrafficLog>& logs,
 
 /// Builds the matrix straight from the intensity model with per-slot
 /// sampling noise — statistically what vectorize_logs(clean(generate()))
-/// produces, minus session quantization. Deterministic in the seed.
+/// produces, minus session quantization. Deterministic in the seed and
+/// bit-identical with or without `pool` (rows are sampled on it).
 TrafficMatrix vectorize_intensity(const std::vector<Tower>& towers,
                                   const IntensityModel& intensity,
-                                  std::uint64_t seed);
+                                  std::uint64_t seed,
+                                  ThreadPool* pool = nullptr);
 
 }  // namespace cellscope

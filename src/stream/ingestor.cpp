@@ -642,11 +642,7 @@ StreamIngestor::folded_vectors(ThreadPool* pool) const {
   const auto fold_one = [&](std::size_t i) {
     out[i] = {snapshot[i].first, snapshot[i].second.folded_week()};
   };
-  if (pool != nullptr && pool->thread_count() > 1 && snapshot.size() > 1) {
-    pool->parallel_for(snapshot.size(), fold_one);
-  } else {
-    for (std::size_t i = 0; i < snapshot.size(); ++i) fold_one(i);
-  }
+  run_indexed(pool, snapshot.size(), fold_one);
   return out;
 }
 

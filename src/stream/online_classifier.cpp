@@ -131,11 +131,7 @@ OnlineClassifier::classify_all(const StreamIngestor& ingestor,
   const auto classify_one = [&](std::size_t i) {
     out[i] = {ids[i], classify(ingestor.window_copy(ids[i]))};
   };
-  if (pool != nullptr && pool->thread_count() > 1 && ids.size() > 1) {
-    pool->parallel_for(ids.size(), classify_one);
-  } else {
-    for (std::size_t i = 0; i < ids.size(); ++i) classify_one(i);
-  }
+  run_indexed(pool, ids.size(), classify_one);
   std::size_t cold = 0;
   for (const auto& [id, c] : out)
     if (c.cold_start) ++cold;

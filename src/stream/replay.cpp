@@ -6,6 +6,7 @@
 #include "common/error.h"
 #include "common/json.h"
 #include "common/rng.h"
+#include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/quality.h"
 #include "obs/timer.h"
@@ -82,13 +83,24 @@ ReplayStats replay_trace(const std::vector<TrafficLog>& logs,
   }
 
   obs::ScopedTimer timer;
+  bool metrics_write_failed = false;
   const auto dump_metrics = [&] {
+    if (metrics_write_failed) return;
     JsonWriter line;
     line.begin_object();
     line.key("wall_ms").number(timer.elapsed_ms(), JsonNumber::kFixed6);
     line.key("metrics").raw(obs::MetricsRegistry::instance().snapshot_json());
     metrics_out << line.end_object().take() << '\n';
     metrics_out.flush();  // a live tail -f must see complete lines
+    if (!metrics_out) {
+      // A full disk must not end the replay, but it must not pass
+      // silently either: warn once and stop scraping.
+      metrics_write_failed = true;
+      obs::log_warn("stream.metrics_jsonl_write_failed",
+                    {{"path", options.metrics_jsonl_path},
+                     {"snapshots_written", stats.metrics_snapshots}});
+      return;
+    }
     ++stats.metrics_snapshots;
   };
   double next_dump_ms = static_cast<double>(options.metrics_interval_ms);

@@ -55,7 +55,8 @@ struct ReplayStats {
   double records_per_sec = 0.0;
   std::size_t classify_passes = 0;
   /// Metrics snapshot lines appended to metrics_jsonl_path (0 when the
-  /// periodic scrape was off).
+  /// periodic scrape was off). A failed write logs
+  /// stream.metrics_jsonl_write_failed once and ends the scrape.
   std::size_t metrics_snapshots = 0;
   /// Final classification per tower (ascending id); empty when no
   /// classifier was supplied.

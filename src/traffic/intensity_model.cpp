@@ -1,5 +1,6 @@
 #include "traffic/intensity_model.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.h"
@@ -80,28 +81,41 @@ const TowerTrafficModel& IntensityModel::model(std::uint32_t tower_id) const {
 
 std::vector<double> IntensityModel::expected_series(
     std::uint32_t tower_id) const {
+  std::vector<double> out(TimeGrid::kSlots);
+  expected_series_into(tower_id, out.data());
+  return out;
+}
+
+void IntensityModel::expected_series_into(std::uint32_t tower_id,
+                                          double* out) const {
   const auto& m = model(tower_id);
-  std::vector<double> out(TimeGrid::kSlots, 0.0);
+  std::fill(out, out + TimeGrid::kSlots, 0.0);
   for (int i = 0; i < 4; ++i) {
     if (m.mixture[i] == 0.0) continue;
     const auto& p = unit_profiles_[i];
     for (std::size_t s = 0; s < TimeGrid::kSlots; ++s)
       out[s] += m.mixture[i] * p[s];
   }
-  for (auto& v : out) v *= m.scale;
-  return out;
+  for (std::size_t s = 0; s < TimeGrid::kSlots; ++s) out[s] *= m.scale;
 }
 
 std::vector<double> IntensityModel::sample_series(std::uint32_t tower_id,
                                                   Rng& rng) const {
-  auto out = expected_series(tower_id);
+  std::vector<double> out(TimeGrid::kSlots);
+  sample_series_into(tower_id, rng, out.data());
+  return out;
+}
+
+void IntensityModel::sample_series_into(std::uint32_t tower_id, Rng& rng,
+                                        double* out) const {
+  expected_series_into(tower_id, out);
   const double cv = model(tower_id).noise_cv;
-  if (cv <= 0.0) return out;
+  if (cv <= 0.0) return;
   // Multiplicative lognormal noise with mean 1 and the requested CV.
   const double sigma = std::sqrt(std::log(1.0 + cv * cv));
   const double mu = -sigma * sigma / 2.0;
-  for (auto& v : out) v *= rng.lognormal(mu, sigma);
-  return out;
+  for (std::size_t s = 0; s < TimeGrid::kSlots; ++s)
+    out[s] *= rng.lognormal(mu, sigma);
 }
 
 std::vector<std::array<double, 4>> IntensityModel::mixtures() const {

@@ -66,6 +66,12 @@ class IntensityModel {
   /// slot — what the "measured" trace aggregates to.
   std::vector<double> sample_series(std::uint32_t tower_id, Rng& rng) const;
 
+  /// sample_series written into `out` (TimeGrid::kSlots doubles), so a
+  /// caller can allocate every row up front and fill them on a pool.
+  /// Same draws, same bits: sample_series is a wrapper over this.
+  void sample_series_into(std::uint32_t tower_id, Rng& rng,
+                          double* out) const;
+
   std::size_t size() const { return models_.size(); }
 
   /// Per-tower mixtures for all towers (e.g. to condition POI generation).
@@ -73,6 +79,8 @@ class IntensityModel {
 
  private:
   explicit IntensityModel(std::vector<TowerTrafficModel> models);
+
+  void expected_series_into(std::uint32_t tower_id, double* out) const;
 
   std::vector<TowerTrafficModel> models_;
   // Normalized pure-profile series (peak 1.0) shared across towers.

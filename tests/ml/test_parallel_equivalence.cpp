@@ -2,7 +2,8 @@
 //
 // The determinism contract: every pooled stage — the blocked distance
 // kernel, the incremental DBI sweep, the per-row z-score/fold loops, and
-// the per-tower frequency features — produces BIT-IDENTICAL output for any worker
+// the per-tower frequency features, the intensity vectorizer and the 200 m
+// POI counts — produces BIT-IDENTICAL output for any worker
 // count, because tiles/rows partition the output and every reduction runs
 // in a fixed order. These tests pin that contract with exact comparisons
 // (no tolerances), and check the incremental DBI sweep against a
@@ -21,6 +22,8 @@
 #include <vector>
 
 #include "analysis/freq_features.h"
+#include "analysis/poi_features.h"
+#include "city/deployment.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/time_grid.h"
@@ -29,6 +32,7 @@
 #include "ml/hierarchical.h"
 #include "ml/validity.h"
 #include "pipeline/traffic_matrix.h"
+#include "pipeline/vectorizer.h"
 #include "simd/simd.h"
 
 namespace cellscope {
@@ -192,6 +196,87 @@ TEST(ParallelEquivalence, FreqFeaturesBitIdenticalAcrossThreadCounts) {
   const auto serial_var = amplitude_variance_spectrum(rows, 100);
   const auto par_var = amplitude_variance_spectrum(rows, 100, &pool8);
   EXPECT_EQ(serial_var, par_var);
+}
+
+/// Every row of `a` and `b` equal byte for byte.
+void expect_rows_memcmp_equal(const TrafficMatrix& a, const TrafficMatrix& b) {
+  ASSERT_EQ(a.tower_ids, b.tower_ids);
+  ASSERT_EQ(a.n(), b.n());
+  for (std::size_t i = 0; i < a.n(); ++i) {
+    ASSERT_EQ(a.rows[i].size(), b.rows[i].size());
+    EXPECT_EQ(std::memcmp(a.rows[i].data(), b.rows[i].data(),
+                          a.rows[i].size() * sizeof(double)),
+              0)
+        << "row " << i;
+  }
+}
+
+TEST(ParallelEquivalence, VectorizeIntensityBitIdenticalAcrossThreadCounts) {
+  const auto city = CityModel::create_default(3);
+  DeploymentOptions deployment;
+  deployment.n_towers = 61;  // odd, so parallel_for blocks are uneven
+  const auto towers = deploy_towers(city, deployment);
+  const auto intensity = IntensityModel::create(towers, IntensityOptions{});
+  ThreadPool pool1(1);
+  ThreadPool pool8(8);
+  const auto serial = vectorize_intensity(towers, intensity, 41);
+  expect_rows_memcmp_equal(serial,
+                           vectorize_intensity(towers, intensity, 41, &pool1));
+  expect_rows_memcmp_equal(serial,
+                           vectorize_intensity(towers, intensity, 41, &pool8));
+
+  // The streams are forked in tower order, exactly as the one-loop
+  // vectorizer drew them, so the rows are the per-tower sample_series.
+  Rng rng(41);
+  for (std::size_t i = 0; i < towers.size(); ++i) {
+    Rng tower_rng = rng.fork();
+    const auto row = intensity.sample_series(towers[i].id, tower_rng);
+    ASSERT_EQ(row.size(), serial.rows[i].size());
+    EXPECT_EQ(std::memcmp(row.data(), serial.rows[i].data(),
+                          row.size() * sizeof(double)),
+              0)
+        << "row " << i;
+  }
+}
+
+TEST(ParallelEquivalence, SampleSeriesIntoMatchesSampleSeries) {
+  const auto city = CityModel::create_default(5);
+  DeploymentOptions deployment;
+  deployment.n_towers = 24;
+  const auto towers = deploy_towers(city, deployment);
+  for (const double cv : {0.0, 0.12}) {
+    IntensityOptions options;
+    options.noise_cv = cv;
+    const auto intensity = IntensityModel::create(towers, options);
+    Rng a(9);
+    Rng b(9);
+    std::vector<double> into(TimeGrid::kSlots);
+    for (const auto& t : towers) {
+      const auto series = intensity.sample_series(t.id, a);
+      intensity.sample_series_into(t.id, b, into.data());
+      ASSERT_EQ(series.size(), into.size());
+      EXPECT_EQ(std::memcmp(series.data(), into.data(),
+                            into.size() * sizeof(double)),
+                0)
+          << "tower " << t.id << " cv " << cv;
+    }
+    EXPECT_EQ(a.next_u64(), b.next_u64());  // both consumed the same draws
+  }
+}
+
+TEST(ParallelEquivalence, PoiCountsIdenticalAcrossThreadCounts) {
+  const auto city = CityModel::create_default(4);
+  DeploymentOptions deployment;
+  deployment.n_towers = 157;
+  const auto towers = deploy_towers(city, deployment);
+  const auto pois =
+      PoiDatabase::generate(city, towers, PoiGenerationOptions{});
+  ThreadPool pool8(8);
+  for (const double radius : {0.0, kPoiRadiusM, 1000.0}) {
+    const auto serial = poi_counts_for_towers(pois, towers, radius);
+    EXPECT_EQ(serial, poi_counts_for_towers(pois, towers, radius, &pool8))
+        << "radius " << radius;
+  }
 }
 
 TEST(ParallelEquivalence, FreqFeaturesOfSeriesEqualFeaturesOfItsFold) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 
 #include <unistd.h>
@@ -10,6 +11,7 @@
 #include "common/error.h"
 #include "common/json.h"
 #include "core/experiment.h"
+#include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/quality.h"
 #include "obs/timer.h"
@@ -117,6 +119,26 @@ TEST(RunReport, WriteToFullDiskThrowsIoError) {
   EXPECT_THROW(RunReport("full_disk").write("/dev/full"), IoError);
   EXPECT_THROW(StageTrace::instance().write_chrome_trace("/dev/full"),
                IoError);
+}
+
+// CELLSCOPE_TRACE names the file the exit-time trace goes to. When that
+// write fails the process still exits cleanly, but it says so.
+TEST(StageTraceDeathTest, ExitTimeWriteFailureIsLogged) {
+  if (::access("/dev/full", W_OK) != 0) GTEST_SKIP() << "no /dev/full";
+  // The child re-executes this binary, so it reads CELLSCOPE_TRACE when
+  // it first builds its StageTrace; this process's instance is untouched.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  ASSERT_EQ(::setenv("CELLSCOPE_TRACE", "/dev/full", 1), 0);
+  EXPECT_EXIT(
+      {
+        Logger::instance().set_level(LogLevel::kWarn);
+        Logger::instance().set_stderr(true);
+        { StageSpan span("probe"); }  // one event, so the trace has a body
+        std::exit(0);
+      },
+      ::testing::ExitedWithCode(0),
+      "event=trace\\.write_failed path=/dev/full");
+  ::unsetenv("CELLSCOPE_TRACE");
 }
 
 // The acceptance path: a full (small) pipeline run must register and
