@@ -24,6 +24,7 @@
 #include "stream/replay.h"
 #include "traffic/columnar.h"
 #include "traffic/trace_codec.h"
+#include "traffic/trace_mmap.h"
 
 namespace {
 
@@ -83,7 +84,7 @@ const FullscaleTrace& trace() {
 }
 
 void run_replay(benchmark::State& state, const std::string& path,
-                const FileReplayOptions& options) {
+                const ReplayOptions& options) {
   ThreadPool pool(default_thread_count());
   std::size_t records = 0;
   for (auto _ : state) {
@@ -99,23 +100,39 @@ void run_replay(benchmark::State& state, const std::string& path,
 
 /// Baseline: the text path — parse every CSV line, offer, drain.
 void BM_FullscaleCsvIngest(benchmark::State& state) {
-  run_replay(state, trace().csv_path, FileReplayOptions{});
+  run_replay(state, trace().csv_path, ReplayOptions{});
 }
 BENCHMARK(BM_FullscaleCsvIngest)->Unit(benchmark::kMillisecond);
 
-/// Columnar file through the legacy offer/drain path: isolates the
-/// decode win (no text parsing) from the fused-apply win.
+/// Columnar file through the offer/drain path, with the chunk loop
+/// written out here (full-record decode, offer_batch, drain): isolates
+/// the decode win (no text parsing) from the fused-apply win.
 void BM_FullscaleBinOfferIngest(benchmark::State& state) {
-  FileReplayOptions options;
-  options.bulk = false;
-  run_replay(state, trace().ctb_path, options);
+  ThreadPool pool(default_thread_count());
+  std::size_t records = 0;
+  for (auto _ : state) {
+    StreamIngestor ingestor(StreamConfig{.n_shards = 4, .queue_capacity = 0});
+    MmapTraceReader reader(trace().ctb_path);
+    std::vector<TrafficLog> chunk;
+    records = 0;
+    for (std::size_t i = 0; i < reader.chunk_count(); ++i) {
+      if (!reader.read_chunk(i, chunk)) continue;
+      ingestor.offer_batch(chunk);
+      ingestor.drain(pool);
+      records += chunk.size();
+    }
+    benchmark::DoNotOptimize(ingestor.stats().accepted);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(records) *
+                          state.iterations());
+  state.counters["towers"] = static_cast<double>(trace().towers);
 }
 BENCHMARK(BM_FullscaleBinOfferIngest)->Unit(benchmark::kMillisecond);
 
 /// The full fast path: mmap chunks, column-selective decode, fused
 /// ingest_columns — the >= 10x-over-CSV configuration.
 void BM_FullscaleMmapBulkIngest(benchmark::State& state) {
-  run_replay(state, trace().ctb_path, FileReplayOptions{});
+  run_replay(state, trace().ctb_path, ReplayOptions{});
 }
 BENCHMARK(BM_FullscaleMmapBulkIngest)->Unit(benchmark::kMillisecond);
 
@@ -124,7 +141,7 @@ BENCHMARK(BM_FullscaleMmapBulkIngest)->Unit(benchmark::kMillisecond);
 /// items/sec counts only the records actually applied.
 void BM_FullscaleMmapTimeSlice(benchmark::State& state) {
   constexpr std::uint32_t kDayMinutes = 24 * 60;
-  FileReplayOptions options;
+  ReplayOptions options;
   options.filter.min_minute = 7 * kDayMinutes;
   options.filter.max_minute = 8 * kDayMinutes - 1;
   run_replay(state, trace().ctb_path, options);

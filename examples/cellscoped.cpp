@@ -164,11 +164,8 @@ int main(int argc, char** argv) {
   options.batch_size = batch;
 
   if (!trace_path.empty()) {
-    FileReplayOptions file_options;
-    file_options.batch_size = batch;
     const ReplayStats stats = replay_trace_file(trace_path, ingestor, pool,
-                                                file_options,
-                                                classifier.get());
+                                                options, classifier.get());
     service.publish_model(classifier);
     std::cout << trace_path << ": " << stats.records << " records in "
               << stats.wall_ms << " ms; serving until a signal arrives\n";

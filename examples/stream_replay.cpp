@@ -25,9 +25,6 @@
 //   --trace=PATH            replay this trace file (.csv or .ctb/.bin)
 //                           instead of a synthetic feed; one pass,
 //                           out-of-core (README "Full-scale ingest")
-//   --offer                 with --trace on a columnar file: go through
-//                           offer_batch/drain instead of the fused bulk
-//                           ingest path
 //   --checkpoint=PATH       flush a final stream snapshot here on exit —
 //                           including a SIGINT/SIGTERM exit, which stops
 //                           at the next round boundary instead of dying
@@ -139,7 +136,6 @@ int main(int argc, char** argv) {
   std::size_t pause_ms = 500;
   std::string trace_path;
   std::string checkpoint_path;
-  bool bulk = true;
   ReplayOptions options;
   options.skew_window = 64;
   options.late_fraction = 0.01;
@@ -168,8 +164,6 @@ int main(int argc, char** argv) {
       trace_path = arg.substr(8);
     else if (arg.starts_with("--checkpoint="))
       checkpoint_path = arg.substr(13);
-    else if (arg == "--offer")
-      bulk = false;
     else if (arg.starts_with("--late="))
       options.late_fraction = std::strtod(arg.substr(7).data(), nullptr);
     else {
@@ -220,18 +214,13 @@ int main(int argc, char** argv) {
   if (!trace_path.empty()) {
     // File replay: one out-of-core pass through the codec layer; the
     // whole trace never materializes in memory.
-    FileReplayOptions file_options;
-    file_options.bulk = bulk;
-    file_options.batch_size = options.batch_size;
-    file_options.classify_every_batches = options.classify_every_batches;
-    const ReplayStats stats = replay_trace_file(trace_path, ingestor, pool,
-                                                file_options, model.get());
+    const ReplayStats stats =
+        replay_trace_file(trace_path, ingestor, pool, options, model.get());
     const IngestStats ingest = stats.ingest;
     std::cout << trace_path << ": " << stats.records << " records in "
               << stats.wall_ms << " ms ("
               << static_cast<std::uint64_t>(stats.records_per_sec)
-              << " rec/s, " << (bulk ? "bulk" : "offer")
-              << " path), watermark " << ingest.watermark_minute << " (low "
+              << " rec/s), watermark " << ingest.watermark_minute << " (low "
               << ingest.low_watermark_minute << "), late " << ingest.late
               << ", dropped " << ingest.dropped << ", classify passes "
               << stats.classify_passes << "\n";

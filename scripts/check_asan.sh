@@ -6,7 +6,8 @@
 # targets are everything that parses untrusted bytes — from a socket (the
 # HTTP request parser, POST /classify's JSON body, which json_fuzz
 # mutates byte by byte) or from a trace file (the CSV reader, the
-# columnar .ctb reader and its bit-flip/truncation sweeps) — and the
+# columnar .ctb reader, its bit-flip/truncation sweeps and the ctb_fuzz
+# driver's damage behind resealed CRCs) — and the
 # connection lifetime in the worker pool; any out-of-bounds access,
 # use-after-free, leak, or undefined behavior fails the run.
 #
@@ -24,7 +25,7 @@ cmake -B "${build_dir}" -S "${repo_root}" \
   -DCELLSCOPE_SANITIZE=address,undefined
 
 cmake --build "${build_dir}" -j --target test_server --target test_introspect \
-  --target test_obs --target test_io --target json_fuzz
+  --target test_obs --target test_io --target json_fuzz --target ctb_fuzz
 
 # Findings already fail the run (-fno-sanitize-recover); add the stacks.
 export UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1}"

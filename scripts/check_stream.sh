@@ -6,7 +6,8 @@
 # ingestor's lock striping, the bounded thread-pool queue, the
 # classify-all pass, the snapshot write/restore paths with injected
 # faults, the embedded stats server scraping live metric traffic,
-# the columnar trace codecs feeding the bulk ingest path, and the pooled
+# the columnar trace codecs feeding the bulk ingest path (and the
+# ctb_fuzz driver, which carries the io label), and the pooled
 # analytics core writing its preallocated rows are the intended targets
 # (DESIGN.md §7, §8, §9, and §10); any data race or
 # crash-safety violation fails the run.
@@ -25,7 +26,7 @@ cmake -B "${build_dir}" -S "${repo_root}" -DCELLSCOPE_SANITIZE=thread
 
 cmake --build "${build_dir}" -j --target test_stream --target test_obs \
   --target test_fault --target snapshot_fuzz --target test_introspect \
-  --target test_io --target test_parallel
+  --target test_io --target ctb_fuzz --target test_parallel
 
 echo "check_stream: running ctest -L 'stream|fault|introspect|io|par' under ThreadSanitizer"
 ctest --test-dir "${build_dir}" -L 'stream|fault|introspect|io|par' \

@@ -48,7 +48,7 @@
 #include "traffic/mobility.h"              // IWYU pragma: export
 #include "traffic/mobility_trace.h"        // IWYU pragma: export
 #include "traffic/profiles.h"              // IWYU pragma: export
+#include "traffic/trace_codec.h"           // IWYU pragma: export
 #include "traffic/trace_generator.h"       // IWYU pragma: export
-#include "traffic/trace_io.h"              // IWYU pragma: export
 #include "viz/ascii_plot.h"                // IWYU pragma: export
 #include "viz/figure_export.h"             // IWYU pragma: export

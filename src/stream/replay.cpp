@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <fstream>
+#include <memory>
+#include <optional>
+#include <span>
 
 #include "common/error.h"
 #include "common/json.h"
@@ -62,13 +65,20 @@ std::vector<TrafficLog> perturb_arrival_order(std::vector<TrafficLog> logs,
   return logs;
 }
 
-ReplayStats replay_trace(const std::vector<TrafficLog>& logs,
-                         StreamIngestor& ingestor, ThreadPool& pool,
+namespace {
+
+/// The one replay body behind replay_trace and replay_trace_file.
+/// `apply_next()` feeds the next batch to the ingestor and returns the
+/// records it applied, or nullopt at end of stream; it runs inside the
+/// stream.replay span. Around it: the classify cadence, the periodic
+/// metrics scrape, the dropped/late sentinels and the stats epilogue.
+template <class ApplyNext>
+ReplayStats drive_replay(StreamIngestor& ingestor, ThreadPool& pool,
                          const ReplayOptions& options,
-                         const OnlineClassifier* classifier) {
+                         const OnlineClassifier* classifier,
+                         const std::string& path, ApplyNext&& apply_next) {
   CS_CHECK_MSG(options.batch_size >= 1, "batch_size must be positive");
   ReplayStats stats;
-  stats.records = logs.size();
 
   // Periodic file-based metrics scrape (see ReplayOptions). Opened once;
   // append mode so successive replays accumulate into one timeline.
@@ -107,13 +117,8 @@ ReplayStats replay_trace(const std::vector<TrafficLog>& logs,
 
   {
     obs::StageSpan span("stream.replay", "stream");
-    for (std::size_t begin = 0; begin < logs.size();
-         begin += options.batch_size) {
-      const std::size_t end =
-          std::min(logs.size(), begin + options.batch_size);
-      ingestor.offer_batch(
-          std::span<const TrafficLog>(logs.data() + begin, end - begin));
-      ingestor.drain(pool);
+    while (const std::optional<std::size_t> applied = apply_next()) {
+      stats.records += *applied;
       ++stats.batches;
       if (classifier != nullptr && options.classify_every_batches > 0 &&
           stats.batches % options.classify_every_batches == 0) {
@@ -149,6 +154,7 @@ ReplayStats replay_trace(const std::vector<TrafficLog>& logs,
                                          static_cast<std::size_t>(offered),
                                          0.25);
         });
+    if (!path.empty()) span.annotate({"path", path});
     span.annotate({"records", stats.records});
     span.annotate({"batches", stats.batches});
     span.annotate({"dropped", ingest.dropped});
@@ -166,99 +172,57 @@ ReplayStats replay_trace(const std::vector<TrafficLog>& logs,
   return stats;
 }
 
+std::size_t offer_and_drain(StreamIngestor& ingestor, ThreadPool& pool,
+                            std::span<const TrafficLog> batch) {
+  ingestor.offer_batch(batch);
+  ingestor.drain(pool);
+  return batch.size();
+}
+
+}  // namespace
+
+ReplayStats replay_trace(const std::vector<TrafficLog>& logs,
+                         StreamIngestor& ingestor, ThreadPool& pool,
+                         const ReplayOptions& options,
+                         const OnlineClassifier* classifier) {
+  std::size_t begin = 0;
+  return drive_replay(
+      ingestor, pool, options, classifier, {},
+      [&]() -> std::optional<std::size_t> {
+        if (begin >= logs.size()) return std::nullopt;
+        const auto batch = std::span(logs).subspan(
+            begin, std::min(options.batch_size, logs.size() - begin));
+        begin += batch.size();
+        return offer_and_drain(ingestor, pool, batch);
+      });
+}
+
 ReplayStats replay_trace_file(const std::string& path,
                               StreamIngestor& ingestor, ThreadPool& pool,
-                              const FileReplayOptions& options,
+                              const ReplayOptions& options,
                               const OnlineClassifier* classifier) {
-  CS_CHECK_MSG(options.batch_size >= 1, "batch_size must be positive");
-  TraceCodec codec = options.codec == TraceCodec::kAuto
-                         ? trace_codec_for_path(path)
-                         : options.codec;
-  ReplayStats stats;
-  obs::ScopedTimer timer;
-  {
-    obs::StageSpan span("stream.replay", "stream");
-    const auto classify_tick = [&] {
-      if (classifier != nullptr && options.classify_every_batches > 0 &&
-          stats.batches % options.classify_every_batches == 0) {
-        stats.labels = classifier->classify_all(ingestor, &pool);
-        ++stats.classify_passes;
-      }
-    };
-
-    if (codec == TraceCodec::kCsv) {
-      auto reader =
-          open_trace_reader(path, TraceCodec::kCsv, options.batch_size);
-      std::vector<TrafficLog> batch;
-      while (reader->next_batch(batch)) {
-        ingestor.offer_batch(batch);
-        ingestor.drain(pool);
-        stats.records += batch.size();
-        ++stats.batches;
-        classify_tick();
-      }
-    } else {
-      // Columnar: one chunk per round, decoded straight out of the
-      // mapping; the footer ranges prune chunks the filter rules out.
-      MmapTraceReader reader(path);
-      DecodedColumns cols;
-      std::vector<TrafficLog> chunk;
-      std::size_t skipped = 0;
-      for (std::size_t i = 0; i < reader.chunk_count(); ++i) {
-        if (!reader.chunk_overlaps(i, options.filter)) {
-          columnar::io_metrics().chunks_skipped->add(1);
-          ++skipped;
-          continue;
+  const TraceCodec codec = options.codec == TraceCodec::kAuto
+                               ? trace_codec_for_path(path)
+                               : options.codec;
+  // Opened on the first round, inside the stream.replay span, so the
+  // reader's io.read_trace span nests under it.
+  std::unique_ptr<TraceReader> csv;
+  std::vector<TrafficLog> batch;
+  std::optional<ChunkWalk> walk;
+  DecodedColumns cols;
+  return drive_replay(
+      ingestor, pool, options, classifier, path,
+      [&]() -> std::optional<std::size_t> {
+        if (codec == TraceCodec::kCsv) {
+          if (!csv)
+            csv = open_trace_reader(path, TraceCodec::kCsv, options.batch_size);
+          if (!csv->next_batch(batch)) return std::nullopt;
+          return offer_and_drain(ingestor, pool, batch);
         }
-        if (options.bulk) {
-          if (!reader.read_chunk_columns(i, cols)) continue;  // corrupt
-          stats.records += ingestor.ingest_columns(cols);
-        } else {
-          if (!reader.read_chunk(i, chunk)) continue;  // corrupt
-          ingestor.offer_batch(chunk);
-          ingestor.drain(pool);
-          stats.records += chunk.size();
-        }
-        ++stats.batches;
-        classify_tick();
-      }
-      span.annotate({"chunks_skipped", skipped});
-    }
-    if (classifier != nullptr) {
-      stats.labels = classifier->classify_all(ingestor, &pool);
-      ++stats.classify_passes;
-    }
-
-    auto& board = obs::QualityBoard::instance();
-    const auto ingest = ingestor.stats();
-    board.add_check(
-        "stream.replay", "stream_drop_ratio", obs::Severity::kFail,
-        [dropped = ingest.dropped, offered = ingest.offered] {
-          return obs::check_reject_ratio(
-              static_cast<std::size_t>(dropped),
-              static_cast<std::size_t>(offered), 0.01);
-        });
-    board.add_check(
-        "stream.replay", "stream_late_ratio", obs::Severity::kWarn,
-        [late = ingest.late, offered = ingest.offered] {
-          return obs::check_reject_ratio(static_cast<std::size_t>(late),
-                                         static_cast<std::size_t>(offered),
-                                         0.25);
-        });
-    span.annotate({"path", path});
-    span.annotate({"records", stats.records});
-    span.annotate({"batches", stats.batches});
-    span.annotate({"dropped", ingest.dropped});
-    span.annotate({"late", ingest.late});
-  }
-
-  stats.ingest = ingestor.stats();
-  stats.wall_ms = timer.elapsed_ms();
-  stats.records_per_sec =
-      stats.wall_ms > 0.0
-          ? static_cast<double>(stats.records) / (stats.wall_ms / 1e3)
-          : 0.0;
-  return stats;
+        if (!walk) walk.emplace(path, options.filter);
+        if (!walk->next_columns(cols)) return std::nullopt;
+        return ingestor.ingest_columns(cols);
+      });
 }
 
 }  // namespace cellscope

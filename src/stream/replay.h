@@ -9,7 +9,8 @@
 // deferred to the very end of the stream. replay_trace then feeds the
 // ingestor batch by batch, draining on the shared pool, and registers the
 // dropped/late data-quality sentinels evaluated when its stream.replay
-// stage span closes.
+// stage span closes. replay_trace_file does the same from a trace file,
+// through the same replay body.
 #pragma once
 
 #include <cstdint>
@@ -28,14 +29,15 @@ namespace cellscope {
 /// Replay knobs. Defaults replay in order, no defects.
 struct ReplayOptions {
   std::uint64_t seed = 99;
-  /// Records offered per offer_batch()/drain() round.
+  /// Records offered per offer_batch()/drain() round (in-memory and CSV
+  /// replay; a columnar replay applies one chunk per round).
   std::size_t batch_size = 8192;
   /// Local reorder radius, in records (0 = in-order).
   std::size_t skew_window = 0;
   /// Fraction of records deferred to the end of the stream, in [0, 1].
   double late_fraction = 0.0;
-  /// Run classifier.classify_all every this many batches (0 = only the
-  /// final pass) — the online re-evaluation cadence.
+  /// Run classifier.classify_all every this many batches/chunks (0 =
+  /// only the final pass) — the online re-evaluation cadence.
   std::size_t classify_every_batches = 0;
   /// When > 0 (and metrics_jsonl_path is set), append one full metrics
   /// snapshot line to the JSONL file at roughly this wall-time cadence
@@ -44,6 +46,14 @@ struct ReplayOptions {
   /// {"wall_ms": <replay wall clock>, "metrics": <snapshot_json()>}.
   std::uint32_t metrics_interval_ms = 0;
   std::string metrics_jsonl_path;
+  /// replay_trace_file: the trace format; kAuto routes by extension.
+  TraceCodec codec = TraceCodec::kAuto;
+  /// replay_trace_file on a columnar trace: chunks whose footer
+  /// tower/minute ranges cannot overlap this filter are skipped wholesale
+  /// (counted on cellscope.io.chunks_skipped) — coarse, chunk-granular
+  /// pruning; records of any chunk that overlaps all apply. Defaults pass
+  /// all.
+  ChunkFilter filter{};
 };
 
 /// Replay outcome.
@@ -80,37 +90,19 @@ ReplayStats replay_trace(const std::vector<TrafficLog>& logs,
                          const ReplayOptions& options = {},
                          const OnlineClassifier* classifier = nullptr);
 
-/// Knobs for replaying straight from a trace file (out-of-core: only one
-/// batch / chunk of records is resident at a time).
-struct FileReplayOptions {
-  /// Format; kAuto routes by extension. Columnar inputs replay through
-  /// the mapped reader.
-  TraceCodec codec = TraceCodec::kAuto;
-  /// Columnar inputs: apply decoded chunks via ingest_columns (the fused
-  /// bulk path — no queue, no drain, user/address columns never decoded).
-  /// When false, chunks go through offer_batch + drain like any other
-  /// producer. CSV inputs always use the offer path.
-  bool bulk = true;
-  /// Records per offer_batch round on the CSV/offer path.
-  std::size_t batch_size = 8192;
-  /// Run classifier.classify_all every this many batches/chunks (0 =
-  /// only the final pass).
-  std::size_t classify_every_batches = 0;
-  /// Columnar inputs: chunks whose footer tower/minute ranges cannot
-  /// overlap this filter are skipped wholesale (counted on
-  /// cellscope.io.chunks_skipped) — coarse, chunk-granular pruning;
-  /// records of any chunk that overlaps all apply. Defaults pass all.
-  ChunkFilter filter{};
-};
-
-/// Streams a trace file through the ingestor via the codec layer —
-/// the full-scale ingest path. Corrupt chunks / malformed CSV lines are
-/// skipped and counted per the codec contract. Registers the same
-/// stream.replay sentinels as replay_trace. Throws IoError when the file
-/// cannot be opened or its structure is invalid.
+/// Streams a trace file through the ingestor — the full-scale,
+/// out-of-core ingest path (only one batch / chunk of records is resident
+/// at a time). CSV batches go through offer_batch + drain; a columnar
+/// trace is read through ChunkWalk, one chunk per round, and each chunk is
+/// applied with ingest_columns (user ids and addresses never decoded).
+/// Corrupt chunks / malformed CSV lines are skipped and counted per the
+/// codec contract, with the reader's per-file accounting. Otherwise the
+/// same replay body as replay_trace: cadence, metrics scrape and
+/// stream.replay sentinels. Throws IoError when the file cannot be
+/// opened or its structure is invalid.
 ReplayStats replay_trace_file(const std::string& path,
                               StreamIngestor& ingestor, ThreadPool& pool,
-                              const FileReplayOptions& options = {},
+                              const ReplayOptions& options = {},
                               const OnlineClassifier* classifier = nullptr);
 
 }  // namespace cellscope

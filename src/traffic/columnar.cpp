@@ -44,19 +44,34 @@ std::uint64_t read_u64(const unsigned char* p) {
   return v;
 }
 
+constexpr int kColumnBlocks = 6;
+constexpr std::uint64_t kU32Max = std::numeric_limits<std::uint32_t>::max();
+/// Time deltas are differences of u32 minutes, so any delta outside
+/// (-2^32, 2^32) is corruption — rejected before it is added.
+constexpr std::int64_t kDeltaLimit = std::int64_t{1} << 32;
+
+/// Every record costs at least one byte in each of the six column blocks
+/// (a varint is never empty; an empty address still has its length
+/// byte), so a payload holds at most (payload_len - 24) / 6 records.
+bool records_fit(std::uint32_t n_records, std::uint64_t payload_len) {
+  constexpr std::uint64_t kPrefixBytes = 4 * kColumnBlocks;
+  return payload_len >= kPrefixBytes &&
+         n_records <= (payload_len - kPrefixBytes) / kColumnBlocks;
+}
+
 /// Column-block boundaries of a validated payload: begin/end byte ranges
 /// of the six blocks, each prefixed by a u32 length. Returns false when
 /// any block overruns the payload.
 struct ColumnSpans {
-  const unsigned char* begin[6];
-  const unsigned char* end[6];
+  const unsigned char* begin[kColumnBlocks];
+  const unsigned char* end[kColumnBlocks];
 };
 
 bool split_columns(const unsigned char* payload, std::size_t payload_len,
                    ColumnSpans& spans) {
   const unsigned char* p = payload;
   const unsigned char* limit = payload + payload_len;
-  for (int c = 0; c < 6; ++c) {
+  for (int c = 0; c < kColumnBlocks; ++c) {
     if (limit - p < 4) return false;
     const std::uint32_t len = read_u32(p);
     p += 4;
@@ -68,21 +83,68 @@ bool split_columns(const unsigned char* payload, std::size_t payload_len,
   return p == limit;  // trailing garbage is corruption too
 }
 
-/// Validates the chunk frame (magic, lengths, CRC) and exposes the
-/// payload. The CRC covers n_records + payload_len + payload, so header
-/// bit flips are caught as well.
+/// Validates the chunk frame (magic, lengths, CRC, record count) and
+/// splits its payload into column blocks. The CRC covers n_records +
+/// payload_len + payload, so header bit flips are caught as well.
 bool open_frame(const unsigned char* frame, std::size_t frame_len,
-                std::uint32_t& n_records, const unsigned char*& payload,
-                std::size_t& payload_len) {
+                std::uint32_t& n_records, ColumnSpans& cols) {
   if (frame_len < kChunkHeaderBytes + kChunkCrcBytes) return false;
   if (read_u32(frame) != kChunkMagic) return false;
   n_records = read_u32(frame + 4);
-  payload_len = read_u32(frame + 8);
+  const std::size_t payload_len = read_u32(frame + 8);
   if (frame_len != kChunkHeaderBytes + payload_len + kChunkCrcBytes)
     return false;
   const std::uint32_t stored = read_u32(frame + kChunkHeaderBytes + payload_len);
   if (CS_FAILPOINT("trace.chunk.corrupt")) return false;
-  return crc32(frame + 4, 8 + payload_len) == stored;
+  if (crc32(frame + 4, 8 + payload_len) != stored) return false;
+  return records_fit(n_records, payload_len) &&
+         split_columns(frame + kChunkHeaderBytes, payload_len, cols);
+}
+
+/// `base` plus a zigzag-coded delta, as a u32 minute. False when the
+/// delta or the sum leaves its range.
+bool add_delta(std::uint32_t base, std::uint64_t zigzag, std::uint32_t& out) {
+  const std::int64_t delta = zigzag_decode(zigzag);
+  if (delta <= -kDeltaLimit || delta >= kDeltaLimit) return false;
+  const std::int64_t sum = static_cast<std::int64_t>(base) + delta;
+  if (sum < 0 || sum > static_cast<std::int64_t>(kU32Max)) return false;
+  out = static_cast<std::uint32_t>(sum);
+  return true;
+}
+
+/// The one column decoder: validates the frame and decodes the tower,
+/// start, end and bytes columns into `out` (sized from the checked record
+/// count). `cols` keeps the block spans for decode_chunk_records' user
+/// and address pass. On false, `out` may hold a partial decode.
+bool decode_columns(const unsigned char* frame, std::size_t frame_len,
+                    DecodedColumns& out, ColumnSpans& cols) {
+  std::uint32_t n_records = 0;
+  if (!open_frame(frame, frame_len, n_records, cols)) return false;
+  out.tower.resize(n_records);
+  out.start.resize(n_records);
+  out.end.resize(n_records);
+  out.bytes.resize(n_records);
+  const unsigned char* tower = cols.begin[1];
+  const unsigned char* start = cols.begin[2];
+  const unsigned char* end = cols.begin[3];
+  const unsigned char* bytes = cols.begin[4];
+  std::uint32_t prev_start = 0;
+  for (std::uint32_t i = 0; i < n_records; ++i) {
+    std::uint64_t v = 0;
+    if (!varint_decode(&tower, cols.end[1], v) || v > kU32Max) return false;
+    out.tower[i] = static_cast<std::uint32_t>(v);
+    if (!varint_decode(&start, cols.end[2], v) ||
+        !add_delta(prev_start, v, out.start[i]))
+      return false;
+    prev_start = out.start[i];
+    if (!varint_decode(&end, cols.end[3], v) ||
+        !add_delta(out.start[i], v, out.end[i]))
+      return false;
+    if (!varint_decode(&bytes, cols.end[4], out.bytes[i])) return false;
+  }
+  // Each block holds exactly n_records fields; leftovers are corruption.
+  return tower == cols.end[1] && start == cols.end[2] && end == cols.end[3] &&
+         bytes == cols.end[4];
 }
 
 }  // namespace
@@ -151,118 +213,44 @@ void encode_chunk(std::span<const TrafficLog> logs, std::string& out,
 
 bool decode_chunk_records(const unsigned char* frame, std::size_t frame_len,
                           std::vector<TrafficLog>& out) {
-  std::uint32_t n_records = 0;
-  const unsigned char* payload = nullptr;
-  std::size_t payload_len = 0;
-  if (!open_frame(frame, frame_len, n_records, payload, payload_len))
-    return false;
-  payload = frame + kChunkHeaderBytes;
+  DecodedColumns fields;
   ColumnSpans cols;
-  if (!split_columns(payload, payload_len, cols)) return false;
-
+  if (!decode_columns(frame, frame_len, fields, cols)) return false;
   const std::size_t base = out.size();
-  out.resize(base + n_records);
+  out.resize(base + fields.size());
   const unsigned char* user = cols.begin[0];
-  const unsigned char* tower = cols.begin[1];
-  const unsigned char* start = cols.begin[2];
-  const unsigned char* end = cols.begin[3];
-  const unsigned char* bytes = cols.begin[4];
   const unsigned char* addr = cols.begin[5];
-  std::uint32_t prev_start = 0;
-  for (std::uint32_t i = 0; i < n_records; ++i) {
+  for (std::size_t i = 0; i < fields.size(); ++i) {
     TrafficLog& log = out[base + i];
-    std::uint64_t v = 0;
-    if (!varint_decode(&user, cols.end[0], v)) break;
-    log.user_id = v;
-    if (!varint_decode(&tower, cols.end[1], v) ||
-        v > std::numeric_limits<std::uint32_t>::max())
-      break;
-    log.tower_id = static_cast<std::uint32_t>(v);
-    if (!varint_decode(&start, cols.end[2], v)) break;
-    const std::int64_t s = prev_start + zigzag_decode(v);
-    if (s < 0 || s > std::numeric_limits<std::uint32_t>::max()) break;
-    log.start_minute = static_cast<std::uint32_t>(s);
-    prev_start = log.start_minute;
-    if (!varint_decode(&end, cols.end[3], v)) break;
-    const std::int64_t e = s + zigzag_decode(v);
-    if (e < 0 || e > std::numeric_limits<std::uint32_t>::max()) break;
-    log.end_minute = static_cast<std::uint32_t>(e);
-    if (!varint_decode(&bytes, cols.end[4], v)) break;
-    log.bytes = v;
-    if (!varint_decode(&addr, cols.end[5], v) ||
-        v > static_cast<std::uint64_t>(cols.end[5] - addr))
-      break;
-    log.address.assign(reinterpret_cast<const char*>(addr),
-                       static_cast<std::size_t>(v));
-    addr += v;
-    if (i + 1 == n_records) {
-      out.resize(base + n_records);
-      return true;
+    std::uint64_t len = 0;
+    if (!varint_decode(&user, cols.end[0], log.user_id) ||
+        !varint_decode(&addr, cols.end[5], len) ||
+        len > static_cast<std::uint64_t>(cols.end[5] - addr)) {
+      out.resize(base);  // leave the output untouched on corruption
+      return false;
     }
+    log.tower_id = fields.tower[i];
+    log.start_minute = fields.start[i];
+    log.end_minute = fields.end[i];
+    log.bytes = fields.bytes[i];
+    log.address.assign(reinterpret_cast<const char*>(addr),
+                       static_cast<std::size_t>(len));
+    addr += len;
   }
-  out.resize(base);  // leave the output untouched on corruption
-  return n_records == 0;
+  if (user == cols.end[0] && addr == cols.end[5]) return true;
+  out.resize(base);
+  return false;
 }
 
 bool decode_chunk_columns(const unsigned char* frame, std::size_t frame_len,
                           DecodedColumns& out) {
   out.clear();
-  std::uint32_t n_records = 0;
-  const unsigned char* payload = nullptr;
-  std::size_t payload_len = 0;
-  if (!open_frame(frame, frame_len, n_records, payload, payload_len))
-    return false;
-  payload = frame + kChunkHeaderBytes;
   ColumnSpans cols;
-  if (!split_columns(payload, payload_len, cols)) return false;
-
-  out.tower.resize(n_records);
-  out.start.resize(n_records);
-  out.end.resize(n_records);
-  out.bytes.resize(n_records);
-  // User ids and addresses are skipped wholesale — split_columns already
+  // User ids and addresses are skipped wholesale — open_frame already
   // jumped over their blocks; this is the columnar layout paying off.
-  const unsigned char* tower = cols.begin[1];
-  const unsigned char* start = cols.begin[2];
-  const unsigned char* end = cols.begin[3];
-  const unsigned char* bytes = cols.begin[4];
-  std::uint32_t prev_start = 0;
-  for (std::uint32_t i = 0; i < n_records; ++i) {
-    std::uint64_t v = 0;
-    if (!varint_decode(&tower, cols.end[1], v) ||
-        v > std::numeric_limits<std::uint32_t>::max()) {
-      out.clear();
-      return false;
-    }
-    out.tower[i] = static_cast<std::uint32_t>(v);
-    if (!varint_decode(&start, cols.end[2], v)) {
-      out.clear();
-      return false;
-    }
-    const std::int64_t s = prev_start + zigzag_decode(v);
-    if (s < 0 || s > std::numeric_limits<std::uint32_t>::max()) {
-      out.clear();
-      return false;
-    }
-    out.start[i] = static_cast<std::uint32_t>(s);
-    prev_start = out.start[i];
-    if (!varint_decode(&end, cols.end[3], v)) {
-      out.clear();
-      return false;
-    }
-    const std::int64_t e = s + zigzag_decode(v);
-    if (e < 0 || e > std::numeric_limits<std::uint32_t>::max()) {
-      out.clear();
-      return false;
-    }
-    out.end[i] = static_cast<std::uint32_t>(e);
-    if (!varint_decode(&bytes, cols.end[4], v)) {
-      out.clear();
-      return false;
-    }
-    out.bytes[i] = v;
-  }
-  return true;
+  if (decode_columns(frame, frame_len, out, cols)) return true;
+  out.clear();
+  return false;
 }
 
 std::string encode_header() {
@@ -302,50 +290,46 @@ bool check_header(const unsigned char* data, std::size_t len) {
   return version == kVersion;
 }
 
-bool read_trailer(const unsigned char* trailer, std::uint64_t& footer_offset) {
-  if (read_u32(trailer + 8) != kTailMagic) return false;
-  footer_offset = read_u64(trailer);
-  return true;
-}
-
-bool parse_footer_region(const unsigned char* region, std::size_t region_len,
-                         std::uint64_t footer_offset,
-                         std::vector<ChunkIndexEntry>& entries,
-                         std::string& error) {
+bool parse_footer(const unsigned char* data, std::size_t len,
+                  std::vector<ChunkIndexEntry>& entries, std::string& error) {
   entries.clear();
-  if (region_len < kFooterHeaderBytes + 4 + kTrailerBytes) {
-    error = "footer region too small";
+  constexpr std::size_t kMinTail = kFooterHeaderBytes + 4 + kTrailerBytes;
+  if (len < kHeaderBytes + kMinTail) {
+    error = "file too small for header + trailer";
     return false;
   }
-  const unsigned char* trailer = region + region_len - kTrailerBytes;
-  std::uint64_t echoed = 0;
-  if (!read_trailer(trailer, echoed)) {
+  const unsigned char* trailer = data + len - kTrailerBytes;
+  if (read_u32(trailer + 8) != kTailMagic) {
     error = "bad trailer magic (truncated or not a columnar trace)";
     return false;
   }
-  if (echoed != footer_offset) {
-    error = "trailer footer offset mismatch";
+  const std::uint64_t footer_offset = read_u64(trailer);
+  // Subtract rather than add on the right-hand side: a corrupted offset
+  // near UINT64_MAX must not wrap past the bound.
+  if (footer_offset < kHeaderBytes || footer_offset > len - kMinTail) {
+    error = "footer offset out of bounds";
     return false;
   }
-  if (read_u32(region) != kFooterMagic) {
+  const unsigned char* footer = data + footer_offset;
+  if (read_u32(footer) != kFooterMagic) {
     error = "bad footer magic";
     return false;
   }
-  const std::uint32_t n_chunks = read_u32(region + 4);
+  const std::uint32_t n_chunks = read_u32(footer + 4);
   const std::size_t footer_len =
       kFooterHeaderBytes + static_cast<std::size_t>(n_chunks) * kIndexEntryBytes;
-  if (footer_len + 4 + kTrailerBytes != region_len) {
+  if (footer_len + 4 + kTrailerBytes != len - footer_offset) {
     error = "footer length disagrees with file size";
     return false;
   }
-  if (crc32(region, footer_len) != read_u32(region + footer_len)) {
+  if (crc32(footer, footer_len) != read_u32(footer + footer_len)) {
     error = "footer CRC mismatch";
     return false;
   }
   entries.reserve(n_chunks);
   std::uint64_t cursor = kHeaderBytes;
   for (std::uint32_t c = 0; c < n_chunks; ++c) {
-    const unsigned char* p = region + kFooterHeaderBytes + c * kIndexEntryBytes;
+    const unsigned char* p = footer + kFooterHeaderBytes + c * kIndexEntryBytes;
     ChunkIndexEntry entry;
     entry.offset = read_u64(p);
     entry.payload_len = read_u32(p + 8);
@@ -360,6 +344,11 @@ bool parse_footer_region(const unsigned char* region, std::size_t region_len,
       entries.clear();
       return false;
     }
+    if (!records_fit(entry.n_records, entry.payload_len)) {
+      error = "chunk " + std::to_string(c) + " record count exceeds its payload";
+      entries.clear();
+      return false;
+    }
     cursor = entry.offset + entry.frame_len();
     entries.push_back(entry);
   }
@@ -369,30 +358,6 @@ bool parse_footer_region(const unsigned char* region, std::size_t region_len,
     return false;
   }
   return true;
-}
-
-bool parse_footer(const unsigned char* data, std::size_t len,
-                  std::vector<ChunkIndexEntry>& entries, std::string& error) {
-  entries.clear();
-  constexpr std::size_t kMinTail = kFooterHeaderBytes + 4 + kTrailerBytes;
-  if (len < kHeaderBytes + kMinTail) {
-    error = "file too small for header + trailer";
-    return false;
-  }
-  const unsigned char* trailer = data + len - kTrailerBytes;
-  std::uint64_t footer_offset = 0;
-  if (!read_trailer(trailer, footer_offset)) {
-    error = "bad trailer magic (truncated or not a columnar trace)";
-    return false;
-  }
-  // Subtract rather than add on the right-hand side: a corrupted offset
-  // near UINT64_MAX must not wrap past the bound.
-  if (footer_offset < kHeaderBytes || footer_offset > len - kMinTail) {
-    error = "footer offset out of bounds";
-    return false;
-  }
-  return parse_footer_region(data + footer_offset, len - footer_offset,
-                             footer_offset, entries, error);
 }
 
 IoMetrics& io_metrics() {

@@ -1,5 +1,5 @@
 // Columnar binary trace format — the out-of-core counterpart of the CSV
-// trace (trace_io.h), built for full-paper scale (§2.1's 1.96 B tuples).
+// trace (trace_codec.h), built for full-paper scale (§2.1's 1.96 B tuples).
 //
 // On-disk layout (all integers little-endian; DESIGN.md §10):
 //
@@ -99,15 +99,21 @@ void encode_chunk(std::span<const TrafficLog> logs, std::string& out,
                   ChunkIndexEntry& entry);
 
 /// Decodes a full chunk frame into TrafficLog records appended to `out`.
-/// Validates the frame magic, lengths, and CRC and bounds-checks every
-/// varint; returns false (leaving `out` untouched) on any corruption.
+/// Validates the frame magic, lengths, CRC and record count and bounds-
+/// checks every varint and delta; returns false (leaving `out`
+/// untouched) on any corruption. The tower/start/end/bytes columns go
+/// through the same decoder as decode_chunk_columns.
 bool decode_chunk_records(const unsigned char* frame, std::size_t frame_len,
                           std::vector<TrafficLog>& out);
 
 /// Column-selective decode: fills `out` (cleared first; capacity reused)
 /// with the tower/start/end/bytes columns only, skipping the user-id and
-/// address blocks wholesale. Same validation contract as
-/// decode_chunk_records.
+/// address blocks wholesale. Returns false (with `out` empty) when the
+/// frame is corrupt: a bad magic, length or CRC; a record count the
+/// payload cannot hold (every record costs at least one byte in each of
+/// the six blocks); a block holding more or fewer fields than that
+/// count; an over-long varint; a time delta outside (-2^32, 2^32) or a
+/// minute outside the u32 range.
 bool decode_chunk_columns(const unsigned char* frame, std::size_t frame_len,
                           DecodedColumns& out);
 
@@ -124,26 +130,14 @@ bool check_header(const unsigned char* data, std::size_t len);
 
 /// Parses and validates the footer of a fully mapped file: trailer magic,
 /// footer bounds, footer CRC, and per-entry frame bounds (each chunk
-/// frame must lie inside [kHeaderBytes, footer_offset), ascending).
-/// Returns false with a diagnostic in `error` on any violation.
+/// frame must lie inside [kHeaderBytes, footer_offset), ascending) and
+/// record counts (the decode_chunk_columns bound). Returns false with a
+/// diagnostic in `error` on any violation.
 bool parse_footer(const unsigned char* data, std::size_t len,
                   std::vector<ChunkIndexEntry>& entries, std::string& error);
 
-/// Same validation over just the footer region [footer_offset, file_end)
-/// — footer body, CRC, and trailer — for readers that fetched those
-/// bytes into a buffer instead of mapping the whole file. `region_len`
-/// is the region's byte count; `footer_offset` its offset in the file.
-bool parse_footer_region(const unsigned char* region, std::size_t region_len,
-                         std::uint64_t footer_offset,
-                         std::vector<ChunkIndexEntry>& entries,
-                         std::string& error);
-
-/// Reads the trailer's footer offset from the last kTrailerBytes of a
-/// file (pass exactly those bytes). Returns false on a bad trailer magic.
-bool read_trailer(const unsigned char* trailer, std::uint64_t& footer_offset);
-
-/// Hot-path cached handles to the ingest-side IO metrics shared by the
-/// binary trace readers (cellscope.io.chunks_{read,skipped,corrupt},
+/// Hot-path cached handles to the ingest-side IO metrics of the columnar
+/// reader (cellscope.io.chunks_{read,skipped,corrupt},
 /// cellscope.io.bytes_mapped, cellscope.io.chunk_decode_ms).
 struct IoMetrics {
   obs::Counter* chunks_read;

@@ -76,10 +76,10 @@ bool parse_trace_line(const std::string& line, TrafficLog& log,
   return fill_log(cells.data(), log);
 }
 
-/// Streaming CSV reader — the line-at-a-time successor of the legacy
-/// whole-file read_trace_csv, with identical reject accounting: the same
-/// counters, span annotations, and trace_reject_ratio verdict, recorded
-/// once when the stream is exhausted (or the reader is destroyed).
+/// Streaming CSV reader, one line at a time. Its reject accounting — the
+/// counters, span annotations, and trace_reject_ratio verdict — is
+/// recorded once when the stream is exhausted (or the reader is
+/// destroyed).
 class CsvTraceReader final : public TraceReader {
  public:
   CsvTraceReader(const std::string& path, std::size_t batch_records)
@@ -163,72 +163,6 @@ class CsvTraceReader final : public TraceReader {
   std::size_t rejected_ = 0;
 };
 
-/// The columnar reader: a batch adapter over the mapped reader, one chunk
-/// per batch, decoded straight out of the mapping. Corrupt chunks are
-/// skipped and counted (MmapTraceReader::read_chunk).
-class MmapBatchReader final : public TraceReader {
- public:
-  explicit MmapBatchReader(const std::string& path) : reader_(path) {
-    span_.emplace("io.read_trace", "io", obs::LogLevel::kDebug);
-  }
-
-  ~MmapBatchReader() override { finalize(); }
-
-  bool next_batch(std::vector<TrafficLog>& out) override {
-    out.clear();
-    while (next_chunk_ < reader_.chunk_count()) {
-      const std::size_t i = next_chunk_++;
-      if (reader_.read_chunk(i, out)) {
-        records_ += out.size();
-        return true;
-      }
-      ++corrupt_;
-    }
-    finalize();
-    return false;
-  }
-
-  std::optional<std::uint64_t> record_count() const override {
-    return reader_.record_count();
-  }
-
- private:
-  /// Per-file accounting, recorded once at end of stream: read/record
-  /// counters plus a corrupt-chunk quality verdict (the columnar
-  /// analogue of the CSV trace_reject_ratio).
-  void finalize() {
-    if (finalized_) return;
-    finalized_ = true;
-    const std::size_t chunks = reader_.chunk_count();
-    auto& registry = obs::MetricsRegistry::instance();
-    registry.counter("cellscope.io.trace_reads").add(1);
-    registry.counter("cellscope.io.trace_records").add(records_);
-    if (span_) {
-      span_->annotate({"records", records_});
-      span_->annotate({"chunks", chunks});
-      span_->annotate({"corrupt_chunks", corrupt_});
-    }
-    if (chunks > 0) {
-      auto result = obs::check_reject_ratio(corrupt_, chunks, kMaxRejectRatio);
-      obs::QualityBoard::instance().record(
-          {.check = "trace_chunk_corrupt_ratio",
-           .stage = "io.read_trace",
-           .severity = obs::Severity::kFail,
-           .passed = result.passed,
-           .value = result.value,
-           .detail = std::move(result.detail)});
-    }
-    span_.reset();
-  }
-
-  MmapTraceReader reader_;
-  std::optional<obs::StageSpan> span_;
-  std::size_t next_chunk_ = 0;
-  std::size_t records_ = 0;
-  std::size_t corrupt_ = 0;
-  bool finalized_ = false;
-};
-
 class CsvTraceWriter final : public TraceWriter {
  public:
   explicit CsvTraceWriter(const std::string& path) {
@@ -289,7 +223,7 @@ std::unique_ptr<TraceReader> open_trace_reader(const std::string& path,
     case TraceCodec::kCsv:
       return std::make_unique<CsvTraceReader>(path, batch_records);
     case TraceCodec::kBinary:
-      return std::make_unique<MmapBatchReader>(path);
+      return std::make_unique<ChunkWalk>(path);
     case TraceCodec::kAuto:
       break;
   }

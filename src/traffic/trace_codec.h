@@ -3,14 +3,13 @@
 //
 // Callers pick a format with an explicit TraceCodec or let kAuto route
 // by extension: ".csv" is the text format, ".ctb"/".bin" the columnar
-// binary (traffic/columnar.h), read through the mapped, indexed reader
-// (traffic/trace_mmap.h). The streaming interface hands out
-// bounded batches, so every consumer — conversion tools, the stream
+// binary (traffic/columnar.h), read through the chunk walk over the
+// mapped, indexed reader (traffic/trace_mmap.h). The streaming interface
+// hands out bounded batches, so every consumer — conversion tools, the stream
 // replay harness, tests — can process a trace far larger than RAM
 // without ever holding more than one batch of records.
 //
-// read_trace/write_trace are the whole-file conveniences the legacy
-// trace_io entry points delegate to.
+// read_trace/write_trace are the whole-file conveniences.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +26,7 @@ namespace cellscope {
 /// Format selector. kAuto routes by file extension.
 enum class TraceCodec {
   kAuto,    ///< by extension: .csv -> kCsv, .ctb/.bin -> kBinary
-  kCsv,     ///< text CSV (trace_io.h format)
+  kCsv,     ///< text CSV with a header row
   kBinary,  ///< columnar binary, read through the mapped, indexed reader
 };
 
@@ -74,8 +73,13 @@ std::unique_ptr<TraceWriter> open_trace_writer(
     const std::string& path, TraceCodec codec = TraceCodec::kAuto,
     std::size_t chunk_records = 65536);
 
-/// Whole-file read through the selected codec (malformed rows / corrupt
-/// chunks are skipped and counted per the format's contract).
+/// Whole-file read through the selected codec. CSV: malformed rows (wrong
+/// column count, non-numeric fields) and out-of-range rows (32-bit field
+/// overflow, end_minute < start_minute) are skipped and counted on
+/// cellscope.io.rejected_lines, and every read records a
+/// "trace_reject_ratio" verdict that fails above 1% rejected lines.
+/// Columnar: corrupt chunks are skipped and counted (ChunkWalk). Semantic
+/// cleaning (duplicates, conflicts) remains the pipeline cleaner's job.
 std::vector<TrafficLog> read_trace(const std::string& path,
                                    TraceCodec codec = TraceCodec::kAuto);
 

@@ -5,17 +5,28 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <cstring>
 #include <fstream>
+#include <type_traits>
 
 #include "common/error.h"
 #include "common/failpoint.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
+#include "obs/quality.h"
 #include "obs/timer.h"
 
 namespace cellscope {
 
 using columnar::io_metrics;
+
+namespace {
+
+/// Corrupt-chunk ratio above which a walk's verdict fails — the columnar
+/// analogue of the CSV reader's 1% trace_reject_ratio bound.
+constexpr double kMaxCorruptRatio = 0.01;
+
+}  // namespace
 
 MmapTraceReader::MmapTraceReader(const std::string& path) : path_(path) {
   if (CS_FAILPOINT("trace.read.fail"))
@@ -66,47 +77,97 @@ std::span<const unsigned char> MmapTraceReader::chunk_frame(
   return {data_ + entry.offset, entry.frame_len()};
 }
 
-bool MmapTraceReader::read_chunk(std::size_t i,
-                                 std::vector<TrafficLog>& out) const {
-  out.clear();
+template <class Out>
+bool MmapTraceReader::decode(
+    std::size_t i, Out& out,
+    bool (*decoder)(const unsigned char*, std::size_t, Out&),
+    const char* mode) const {
   const auto frame = chunk_frame(i);
   obs::ScopedTimer timer(io_metrics().decode_ms);
-  if (!columnar::decode_chunk_records(frame.data(), frame.size(), out)) {
+  // The frame's own n_records (bytes 4..7, after the magic) must be the
+  // count the footer promised: read_trace sizes its output from it.
+  std::uint32_t n_records = 0;
+  std::memcpy(&n_records, frame.data() + 4, sizeof(n_records));
+  if (n_records != index_[i].n_records ||
+      !decoder(frame.data(), frame.size(), out)) {
     io_metrics().chunks_corrupt->add(1);
     obs::log_warn("io.chunk_corrupt",
-                  {{"path", path_}, {"chunk", i}, {"mode", "records"}});
-    out.clear();
+                  {{"path", path_}, {"chunk", i}, {"mode", mode}});
     return false;
   }
   io_metrics().chunks_read->add(1);
   return true;
+}
+
+bool MmapTraceReader::read_chunk(std::size_t i,
+                                 std::vector<TrafficLog>& out) const {
+  out.clear();
+  return decode(i, out, columnar::decode_chunk_records, "records");
 }
 
 bool MmapTraceReader::read_chunk_columns(std::size_t i,
                                          DecodedColumns& out) const {
-  const auto frame = chunk_frame(i);
-  obs::ScopedTimer timer(io_metrics().decode_ms);
-  if (!columnar::decode_chunk_columns(frame.data(), frame.size(), out)) {
-    io_metrics().chunks_corrupt->add(1);
-    obs::log_warn("io.chunk_corrupt",
-                  {{"path", path_}, {"chunk", i}, {"mode", "columns"}});
-    return false;
-  }
-  io_metrics().chunks_read->add(1);
-  return true;
+  out.clear();
+  return decode(i, out, columnar::decode_chunk_columns, "columns");
 }
 
-std::vector<TrafficLog> read_trace_bin(const std::string& path) {
-  MmapTraceReader reader(path);
-  std::vector<TrafficLog> logs;
-  logs.reserve(reader.record_count());
-  std::vector<TrafficLog> chunk;
-  for (std::size_t i = 0; i < reader.chunk_count(); ++i) {
-    if (!reader.read_chunk(i, chunk)) continue;  // skip-and-count
-    logs.insert(logs.end(), std::make_move_iterator(chunk.begin()),
-                std::make_move_iterator(chunk.end()));
+ChunkWalk::ChunkWalk(const std::string& path, const ChunkFilter& filter)
+    : reader_(path), filter_(filter) {
+  span_.emplace("io.read_trace", "io", obs::LogLevel::kDebug);
+}
+
+bool ChunkWalk::next_batch(std::vector<TrafficLog>& out) {
+  return next(out);
+}
+
+bool ChunkWalk::next_columns(DecodedColumns& out) { return next(out); }
+
+template <class Out>
+bool ChunkWalk::next(Out& out) {
+  while (next_chunk_ < reader_.chunk_count()) {
+    const std::size_t i = next_chunk_++;
+    if (!reader_.chunk_overlaps(i, filter_)) {
+      io_metrics().chunks_skipped->add(1);
+      ++skipped_;
+      continue;
+    }
+    ++visited_;
+    bool ok = false;
+    if constexpr (std::is_same_v<Out, DecodedColumns>)
+      ok = reader_.read_chunk_columns(i, out);
+    else
+      ok = reader_.read_chunk(i, out);
+    if (ok) {
+      records_ += out.size();
+      return true;
+    }
+    ++corrupt_;  // skip-and-count
   }
-  return logs;
+  out.clear();
+  finish();
+  return false;
+}
+
+void ChunkWalk::finish() {
+  if (!span_) return;  // already recorded
+  auto& registry = obs::MetricsRegistry::instance();
+  registry.counter("cellscope.io.trace_reads").add(1);
+  registry.counter("cellscope.io.trace_records").add(records_);
+  span_->annotate({"records", records_});
+  span_->annotate({"chunks", reader_.chunk_count()});
+  span_->annotate({"chunks_skipped", skipped_});
+  span_->annotate({"corrupt_chunks", corrupt_});
+  if (visited_ > 0) {
+    auto result = obs::check_reject_ratio(corrupt_, visited_, kMaxCorruptRatio);
+    obs::QualityBoard::instance().record(
+        {.check = "trace_chunk_corrupt_ratio",
+         .stage = "io.read_trace",
+         .severity = obs::Severity::kFail,
+         .passed = result.passed,
+         .value = result.value,
+         .detail = std::move(result.detail)});
+  }
+  span_.reset();
 }
 
 std::uint64_t merge_trace_bin(const std::vector<std::string>& inputs,

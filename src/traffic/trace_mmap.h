@@ -13,24 +13,34 @@
 // never touches the pages of chunks that cannot overlap it (counted on
 // cellscope.io.chunks_skipped).
 //
-// Corruption contract: a chunk that fails its CRC or decode is skipped
-// and counted (cellscope.io.chunks_corrupt) — never fatal — so one
-// flipped bit does not abort a month-long ingest. File-level structure
-// damage (bad header, unparseable footer) throws IoError from the
-// constructor, before any data is consumed.
+// Corruption contract: a chunk that fails its CRC or decode, or whose
+// frame record count differs from its footer entry, is skipped and
+// counted (cellscope.io.chunks_corrupt) — never fatal — so one flipped
+// bit does not abort a month-long ingest. File-level structure damage
+// (bad header, unparseable footer, a footer record count its payload
+// cannot hold) throws IoError from the constructor, before any data is
+// consumed.
+//
+// ChunkWalk is the one front-to-back pass over a file's chunks: the
+// codec layer's columnar TraceReader (so read_trace) and
+// replay_trace_file both read through it.
 //
 // Metrics: cellscope.io.chunks_{read,skipped,corrupt} counters,
 // cellscope.io.bytes_mapped counter, cellscope.io.chunk_decode_ms
-// histogram.
+// histogram; per walk, cellscope.io.trace_reads/trace_records and the
+// trace_chunk_corrupt_ratio quality verdict.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "obs/timer.h"
 #include "traffic/columnar.h"
+#include "traffic/trace_codec.h"
 #include "traffic/trace_record.h"
 
 namespace cellscope {
@@ -70,7 +80,8 @@ class MmapTraceReader {
 
   /// Decodes chunk i into TrafficLog records (`out` is cleared first;
   /// capacity is reused across calls). Returns false — with `out` empty
-  /// and cellscope.io.chunks_corrupt bumped — when the chunk is corrupt.
+  /// and cellscope.io.chunks_corrupt bumped — when the chunk is corrupt
+  /// or its frame record count differs from the footer's.
   bool read_chunk(std::size_t i, std::vector<TrafficLog>& out) const;
 
   /// Column-selective decode of chunk i (tower/start/end/bytes only) for
@@ -85,6 +96,11 @@ class MmapTraceReader {
   MmapTraceReader& operator=(const MmapTraceReader&) = delete;
 
  private:
+  template <class Out>
+  bool decode(std::size_t i, Out& out,
+              bool (*decoder)(const unsigned char*, std::size_t, Out&),
+              const char* mode) const;
+
   std::string path_;
   const unsigned char* data_ = nullptr;
   std::size_t size_ = 0;
@@ -92,12 +108,44 @@ class MmapTraceReader {
   std::uint64_t record_count_ = 0;
 };
 
-/// Reads every (valid) record of a columnar trace file via the mapped
-/// reader — the binary counterpart of read_trace_csv. Corrupt chunks are
-/// skipped and counted; the whole result materializes in memory, so this
-/// is for tests/tools — the streaming paths (stream/replay.h) are the
-/// out-of-core way in.
-std::vector<TrafficLog> read_trace_bin(const std::string& path);
+/// The one walk over a columnar trace's chunks, front to back: it skips
+/// chunks the filter rules out (cellscope.io.chunks_skipped) and corrupt
+/// chunks (counted by the reader), and hands out one intact chunk per
+/// call. The per-file accounting is recorded once, when the walk ends or
+/// is destroyed: the io.read_trace span, the cellscope.io.trace_reads
+/// and trace_records counters, and the trace_chunk_corrupt_ratio verdict
+/// over the chunks the filter let through (fails above 1%).
+class ChunkWalk final : public TraceReader {
+ public:
+  /// Maps and validates `path` like MmapTraceReader (throws IoError).
+  explicit ChunkWalk(const std::string& path, const ChunkFilter& filter = {});
+  ~ChunkWalk() override { finish(); }
+
+  /// Next intact chunk as records; false once the walk is done.
+  bool next_batch(std::vector<TrafficLog>& out) override;
+  /// Next intact chunk, tower/start/end/bytes only (the bulk ingest
+  /// path); false once the walk is done.
+  bool next_columns(DecodedColumns& out);
+
+  /// Records in the whole file (the footer's count, filter or not).
+  std::optional<std::uint64_t> record_count() const override {
+    return reader_.record_count();
+  }
+
+ private:
+  template <class Out>
+  bool next(Out& out);
+  void finish();
+
+  MmapTraceReader reader_;
+  ChunkFilter filter_;
+  std::optional<obs::StageSpan> span_;  ///< open until the accounting is recorded
+  std::size_t next_chunk_ = 0;
+  std::size_t visited_ = 0;
+  std::size_t skipped_ = 0;
+  std::size_t corrupt_ = 0;
+  std::size_t records_ = 0;
+};
 
 /// Concatenates the chunks of `inputs` into `output` and writes a fresh
 /// footer index — chunk frames are copied verbatim (they are self-

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace cellscope {
 
@@ -15,7 +16,7 @@ namespace cellscope {
 ///
 /// Interval semantics: [start_minute, end_minute) — the start minute is
 /// inside the connection, the end minute is not, and end_minute >=
-/// start_minute always holds for well-formed records (trace_io rejects
+/// start_minute always holds for well-formed records (the CSV reader rejects
 /// violations). A zero-length connection (end == start) is valid and
 /// carries its bytes like any other; binning attributes all bytes to the
 /// 10-minute slot containing start_minute, so a connection crossing
@@ -36,5 +37,12 @@ struct TrafficLog {
 
   bool operator==(const TrafficLog& other) const = default;
 };
+
+/// Total bytes across logs.
+inline std::uint64_t total_bytes(const std::vector<TrafficLog>& logs) {
+  std::uint64_t s = 0;
+  for (const auto& log : logs) s += log.bytes;
+  return s;
+}
 
 }  // namespace cellscope

@@ -1,18 +1,25 @@
 // Columnar binary trace format (traffic/columnar.h): chunk encode/decode
 // round trips, column-selective decode, the footer index ranges, merge by
-// verbatim frame copy, and whole-file round trips through the mapped
-// reader.
+// verbatim frame copy, whole-file round trips through the mapped reader,
+// and the decoder's bounds on CRC-valid but damaged chunks (time deltas,
+// record counts).
 #include "traffic/columnar.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "common/error.h"
 #include "common/rng.h"
+#include "ctb_frames.h"
+#include "obs/metrics.h"
+#include "traffic/trace_codec.h"
 #include "traffic/trace_mmap.h"
 
 namespace cellscope {
@@ -121,7 +128,7 @@ TEST_F(ColumnarTest, IndexEntryTracksMinMaxRanges) {
 TEST_F(ColumnarTest, FileRoundTripsThroughMappedReader) {
   const auto logs = varied_logs(10000);
   write_trace_bin(path("t.ctb"), logs, 1024);  // several chunks
-  EXPECT_EQ(read_trace_bin(path("t.ctb")), logs);
+  EXPECT_EQ(read_trace(path("t.ctb"), TraceCodec::kBinary), logs);
 
   MmapTraceReader reader(path("t.ctb"));
   EXPECT_EQ(reader.record_count(), logs.size());
@@ -130,7 +137,7 @@ TEST_F(ColumnarTest, FileRoundTripsThroughMappedReader) {
 
 TEST_F(ColumnarTest, EmptyTraceRoundTrips) {
   write_trace_bin(path("empty.ctb"), {});
-  const auto logs = read_trace_bin(path("empty.ctb"));
+  const auto logs = read_trace(path("empty.ctb"), TraceCodec::kBinary);
   EXPECT_TRUE(logs.empty());
   MmapTraceReader reader(path("empty.ctb"));
   EXPECT_EQ(reader.chunk_count(), 0u);
@@ -143,7 +150,7 @@ TEST_F(ColumnarTest, WriterDestructorFinishesFile) {
     writer.append(std::span<const TrafficLog>(logs));
     // no finish(): the destructor must flush the tail and the footer
   }
-  EXPECT_EQ(read_trace_bin(path("t.ctb")), logs);
+  EXPECT_EQ(read_trace(path("t.ctb"), TraceCodec::kBinary), logs);
 }
 
 TEST_F(ColumnarTest, ChunkFilterPrunesByIndexRanges) {
@@ -190,7 +197,7 @@ TEST_F(ColumnarTest, MergeConcatenatesVerbatim) {
 
   std::vector<TrafficLog> expected = a;
   expected.insert(expected.end(), b.begin(), b.end());
-  EXPECT_EQ(read_trace_bin(path("m.ctb")), expected);
+  EXPECT_EQ(read_trace(path("m.ctb"), TraceCodec::kBinary), expected);
 
   // Chunk count is the sum — frames were copied, not re-chunked.
   MmapTraceReader ra(path("a.ctb")), rb(path("b.ctb")), rm(path("m.ctb"));
@@ -199,7 +206,150 @@ TEST_F(ColumnarTest, MergeConcatenatesVerbatim) {
 
 TEST_F(ColumnarTest, MissingFileThrowsIoError) {
   EXPECT_THROW(MmapTraceReader reader(path("nope.ctb")), IoError);
-  EXPECT_THROW(read_trace_bin(path("nope.ctb")), IoError);
+  EXPECT_THROW(read_trace(path("nope.ctb"), TraceCodec::kBinary), IoError);
+}
+
+using namespace ctb_test;
+
+const unsigned char* bytes_of(const std::string& s) {
+  return reinterpret_cast<const unsigned char*>(s.data());
+}
+
+/// Both decoders' verdict on one frame; they must agree on the columns
+/// they share.
+bool decodes(const std::string& frame) {
+  std::vector<TrafficLog> records;
+  DecodedColumns cols;
+  const bool by_records =
+      columnar::decode_chunk_records(bytes_of(frame), frame.size(), records);
+  const bool by_columns =
+      columnar::decode_chunk_columns(bytes_of(frame), frame.size(), cols);
+  EXPECT_EQ(by_records, by_columns);
+  EXPECT_EQ(records.size(), cols.size());
+  return by_records && by_columns;
+}
+
+void spit(const std::string& file, const std::string& bytes) {
+  std::ofstream out(file, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST_F(ColumnarTest, DeltasAtInt64ExtremesAreCorrupt) {
+  const std::string valid = frame_from_blocks(1, one_record(10, 4));
+  std::vector<TrafficLog> records;
+  ASSERT_TRUE(columnar::decode_chunk_records(bytes_of(valid), valid.size(),
+                                             records));
+  EXPECT_EQ(records, (std::vector<TrafficLog>{{1, 2, 5, 7, 3, ""}}));
+
+  constexpr auto kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr auto kMin = std::numeric_limits<std::int64_t>::min();
+  for (const std::int64_t delta : {kMax, kMin}) {
+    SCOPED_TRACE(delta);
+    const std::uint64_t z = zigzag_encode(delta);  // 2^64-2 or 2^64-1
+    EXPECT_FALSE(decodes(frame_from_blocks(1, one_record(z, 0))));
+    // start = 1, then the end delta: 1 + INT64_MAX must not be added.
+    EXPECT_FALSE(decodes(frame_from_blocks(1, one_record(2, z))));
+  }
+  // The edges of (-2^32, 2^32): a delta of 2^32 - 1 reaches the largest
+  // minute, 2^32 and -2^32 are rejected before the add.
+  constexpr std::int64_t kLimit = std::int64_t{1} << 32;
+  EXPECT_TRUE(decodes(frame_from_blocks(
+      1, one_record(zigzag_encode(kLimit - 1), 0))));
+  EXPECT_FALSE(
+      decodes(frame_from_blocks(1, one_record(zigzag_encode(kLimit), 0))));
+  EXPECT_FALSE(decodes(frame_from_blocks(
+      1, one_record(zigzag_encode(kLimit - 1), zigzag_encode(-kLimit)))));
+  EXPECT_FALSE(
+      decodes(frame_from_blocks(1, one_record(zigzag_encode(-1), 0))));
+}
+
+TEST_F(ColumnarTest, FrameCountDifferingFromFooterIsSkippedAndCounted) {
+  // Chunk 0's frame holds one record; its footer entry promises two (a
+  // count its payload could hold). The decoder alone cannot tell; the
+  // reader must skip and count the chunk.
+  const auto logs = varied_logs(3);
+  std::string first, second;
+  columnar::ChunkIndexEntry entry;
+  columnar::encode_chunk(std::span(logs).subspan(1, 1), first, entry);
+  columnar::encode_chunk(std::span(logs).subspan(2, 1), second, entry);
+  EXPECT_TRUE(decodes(first));
+  spit(path("t.ctb"), file_from_frames({first, second}, [](auto& entries) {
+         entries[0].n_records = 2;
+       }));
+
+  const auto corrupt_before = columnar::io_metrics().chunks_corrupt->value();
+  EXPECT_EQ(read_trace(path("t.ctb"), TraceCodec::kBinary),
+            std::vector<TrafficLog>{logs[2]});
+  EXPECT_EQ(columnar::io_metrics().chunks_corrupt->value(),
+            corrupt_before + 1);
+}
+
+TEST_F(ColumnarTest, LeftoverColumnFieldsAreCorrupt) {
+  // A frame claiming one record fewer than its blocks hold.
+  const auto logs = varied_logs(2);
+  std::string frame;
+  columnar::ChunkIndexEntry entry;
+  columnar::encode_chunk(logs, frame, entry);
+  ASSERT_TRUE(decodes(frame));
+  put_u32(frame, 4, 1);
+  reseal_frame(frame);
+  EXPECT_FALSE(decodes(frame));
+}
+
+/// 0 when every oversized record count is rejected without allocating
+/// for it, else the number of the first check that failed.
+int oversized_counts_rejected(const std::string& dir) {
+  constexpr std::uint32_t kHuge = 0xffffffffu;
+  // One record's payload behind a frame that claims 2^32 - 1 records.
+  const std::string liar = frame_from_blocks(kHuge, one_record(0, 0));
+  std::vector<TrafficLog> records;
+  DecodedColumns cols;
+  if (columnar::decode_chunk_records(bytes_of(liar), liar.size(), records))
+    return 1;
+  if (columnar::decode_chunk_columns(bytes_of(liar), liar.size(), cols))
+    return 2;
+
+  // The same claim in a footer entry is structural damage.
+  const std::string honest = frame_from_blocks(1, one_record(0, 0));
+  const std::string footer_liar = dir + "/footer_liar.ctb";
+  spit(footer_liar, file_from_frames({honest}, [](auto& entries) {
+         entries[0].n_records = kHuge;
+       }));
+  try {
+    MmapTraceReader reader(footer_liar);
+    return 3;
+  } catch (const IoError&) {
+  }
+  try {
+    read_trace(footer_liar, TraceCodec::kBinary);
+    return 4;
+  } catch (const IoError&) {
+  }
+
+  // Behind an honest footer entry, the lying frame is a corrupt chunk.
+  const std::string frame_liar = dir + "/frame_liar.ctb";
+  spit(frame_liar, file_from_frames({liar, honest}, [](auto& entries) {
+         entries[0].n_records = 1;
+       }));
+  const auto corrupt_before = columnar::io_metrics().chunks_corrupt->value();
+  if (read_trace(frame_liar, TraceCodec::kBinary).size() != 1) return 5;
+  if (columnar::io_metrics().chunks_corrupt->value() != corrupt_before + 1)
+    return 6;
+  return 0;
+}
+
+TEST_F(ColumnarTest, OversizedRecordCountsFailWithoutAllocating) {
+  // In a forked child under a 2 GB address-space cap: a decoder that
+  // sizes its output from the claimed count throws bad_alloc there
+  // instead of exhausting the machine.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::string dir = path("");
+  EXPECT_EXIT(
+      {
+        cap_address_space(std::uint64_t{2} << 30);
+        std::_Exit(oversized_counts_rejected(dir));
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Ingest-path identity (DESIGN.md §10): the same trace file replayed
-// through the CSV offer path, the columnar offer path, and the fused
-// bulk ingest_columns path must leave the ingestor in bit-identical
-// state — same per-tower grids, same lifetime counters (late/stale
+// through the CSV offer path, the columnar chunks offered record by
+// record (a loop written out here), and the fused bulk ingest_columns
+// path must leave the ingestor in bit-identical state — same per-tower grids, same lifetime counters (late/stale
 // included) — across shard counts. This is what licenses the fast path:
 // it is an optimization, not a different semantics.
 #include <gtest/gtest.h>
@@ -110,24 +110,26 @@ TEST_F(IngestIdentityTest, CsvOfferAndBulkPathsAgreeAcrossShardCounts) {
     StreamIngestor via_offer(config);
     StreamIngestor via_bulk(config);
 
-    FileReplayOptions csv_options;    // CSV always offers
-    FileReplayOptions offer_options;  // columnar through the queue
-    offer_options.bulk = false;
-    FileReplayOptions bulk_options;   // fused ingest_columns
-
-    const auto csv_stats =
-        replay_trace_file(csv_path_, via_csv, pool, csv_options);
-    const auto offer_stats =
-        replay_trace_file(bin_path_, via_offer, pool, offer_options);
-    const auto bulk_stats =
-        replay_trace_file(bin_path_, via_bulk, pool, bulk_options);
+    // CSV always offers; a columnar replay always goes through
+    // ingest_columns; the columnar offer side is the chunk loop below.
+    const auto csv_stats = replay_trace_file(csv_path_, via_csv, pool);
+    const auto bulk_stats = replay_trace_file(bin_path_, via_bulk, pool);
+    MmapTraceReader reader(bin_path_);
+    std::vector<TrafficLog> chunk;
+    std::size_t offered = 0;
+    for (std::size_t i = 0; i < reader.chunk_count(); ++i) {
+      ASSERT_TRUE(reader.read_chunk(i, chunk));
+      via_offer.offer_batch(chunk);
+      via_offer.drain(pool);
+      offered += chunk.size();
+    }
 
     EXPECT_EQ(csv_stats.records, logs_.size());
-    EXPECT_EQ(offer_stats.records, logs_.size());
+    EXPECT_EQ(offered, logs_.size());
     EXPECT_EQ(bulk_stats.records, logs_.size());
     EXPECT_GT(csv_stats.ingest.late, 0u);  // the contract has teeth
 
-    expect_same_ingest(csv_stats.ingest, offer_stats.ingest);
+    expect_same_ingest(csv_stats.ingest, via_offer.stats());
     expect_same_ingest(csv_stats.ingest, bulk_stats.ingest);
 
     const auto reference = grids_of(via_csv);
@@ -154,7 +156,7 @@ TEST_F(IngestIdentityTest, ChunkFilterSkipsAndAppliesOnlyOverlaps) {
 
   // A time slice covering only the middle of the feed: the index must
   // prune the leading/trailing chunks wholesale.
-  FileReplayOptions options;
+  ReplayOptions options;
   options.filter.min_minute = 15000;
   options.filter.max_minute = 20000;
 

@@ -1,7 +1,9 @@
 // The pluggable codec layer (traffic/trace_codec.h): extension routing,
-// CSV vs columnar read identity, csv -> bin -> csv byte identity, and a
+// CSV vs columnar read identity, csv -> bin -> csv byte identity, a
 // systematic corruption sweep over the binary format — every bit flip
-// and truncation must end in IoError or skip-and-count, never a crash.
+// and truncation must end in IoError or skip-and-count, never a crash —
+// and the per-file .ctb accounting, the same whether a file is read or
+// replayed.
 #include "traffic/trace_codec.h"
 
 #include <gtest/gtest.h>
@@ -16,9 +18,12 @@
 
 #include "common/error.h"
 #include "common/rng.h"
+#include "mapred/thread_pool.h"
 #include "obs/metrics.h"
+#include "obs/quality.h"
+#include "stream/ingestor.h"
+#include "stream/replay.h"
 #include "traffic/columnar.h"
-#include "traffic/trace_io.h"
 #include "traffic/trace_mmap.h"
 
 namespace cellscope {
@@ -117,16 +122,10 @@ TEST_F(TraceCodecTest, StreamingReadersBatchAndReportCounts) {
 
 TEST_F(TraceCodecTest, CsvToBinToCsvIsByteIdentical) {
   const auto logs = sample_logs(2500);
-  write_trace_csv(path("a.csv"), logs);
+  write_trace(path("a.csv"), logs, TraceCodec::kCsv);
   write_trace(path("a.ctb"), read_trace(path("a.csv")), TraceCodec::kBinary);
-  write_trace_csv(path("b.csv"), read_trace(path("a.ctb")));
+  write_trace(path("b.csv"), read_trace(path("a.ctb")), TraceCodec::kCsv);
   EXPECT_EQ(slurp(path("a.csv")), slurp(path("b.csv")));
-}
-
-TEST_F(TraceCodecTest, LegacyEntryPointsStillWork) {
-  const auto logs = sample_logs(100);
-  write_trace_csv(path("t.csv"), logs);
-  EXPECT_EQ(read_trace_csv(path("t.csv")), logs);
 }
 
 TEST_F(TraceCodecTest, BitFlipSweepNeverCrashes) {
@@ -214,6 +213,82 @@ TEST_F(TraceCodecTest, CorruptChunkIsSkippedAndCounted) {
   std::vector<TrafficLog> expected = logs;
   expected.erase(expected.begin() + 64, expected.begin() + 128);
   EXPECT_EQ(decoded, expected);
+}
+
+/// What one .ctb pass leaves behind: the trace_chunk_corrupt_ratio
+/// verdicts and the trace_reads/trace_records deltas.
+struct Accounting {
+  std::vector<obs::QualityVerdict> verdicts;
+  std::uint64_t reads = 0;
+  std::uint64_t records = 0;
+};
+
+template <class Pass>
+Accounting account(Pass&& pass) {
+  auto& board = obs::QualityBoard::instance();
+  auto& registry = obs::MetricsRegistry::instance();
+  obs::Counter& reads = registry.counter("cellscope.io.trace_reads");
+  obs::Counter& records = registry.counter("cellscope.io.trace_records");
+  board.clear();
+  const auto reads_before = reads.value();
+  const auto records_before = records.value();
+  pass();
+  Accounting out;
+  for (auto& verdict : board.verdicts())
+    if (verdict.check == "trace_chunk_corrupt_ratio")
+      out.verdicts.push_back(std::move(verdict));
+  out.reads = reads.value() - reads_before;
+  out.records = records.value() - records_before;
+  board.clear();
+  return out;
+}
+
+TEST_F(TraceCodecTest, ReplayAndReadRecordTheSameChunkAccounting) {
+  // 8 chunks of 64 records, minutes ascending; chunk 2 fails its CRC:
+  // 1 of 8 chunks (12.5 %) is far past the 1 % bound.
+  std::vector<TrafficLog> logs;
+  for (std::uint32_t i = 0; i < 512; ++i)
+    logs.push_back({i, i % 16, 100 * i, 100 * i + 5, 1000 + i, ""});
+  write_trace_bin(path("t.ctb"), logs, 64);
+  std::string bytes = slurp(path("t.ctb"));
+  const auto victim = MmapTraceReader(path("t.ctb")).chunk(2);
+  bytes[victim.offset + columnar::kChunkHeaderBytes + 5] ^= 0x10;
+  spit(path("t.ctb"), bytes);
+
+  ThreadPool pool(2);
+  const auto replay = [&](const ReplayOptions& options) {
+    return account([&] {
+      StreamIngestor ingestor(StreamConfig{.n_shards = 2, .queue_capacity = 0});
+      replay_trace_file(path("t.ctb"), ingestor, pool, options);
+    });
+  };
+  const Accounting read =
+      account([&] { read_trace(path("t.ctb"), TraceCodec::kBinary); });
+  const Accounting replayed = replay({});
+
+  ASSERT_EQ(read.verdicts.size(), 1u);
+  EXPECT_EQ(read.verdicts[0].stage, "io.read_trace");
+  EXPECT_FALSE(read.verdicts[0].passed);
+  EXPECT_DOUBLE_EQ(read.verdicts[0].value, 1.0 / 8);
+  EXPECT_EQ(read.reads, 1u);
+  EXPECT_EQ(read.records, logs.size() - 64);
+
+  ASSERT_EQ(replayed.verdicts.size(), 1u);
+  EXPECT_EQ(replayed.verdicts[0].stage, read.verdicts[0].stage);
+  EXPECT_EQ(replayed.verdicts[0].passed, read.verdicts[0].passed);
+  EXPECT_EQ(replayed.verdicts[0].value, read.verdicts[0].value);
+  EXPECT_EQ(replayed.verdicts[0].detail, read.verdicts[0].detail);
+  EXPECT_EQ(replayed.reads, read.reads);
+  EXPECT_EQ(replayed.records, read.records);
+
+  // The ratio is over the chunks the filter lets through: minutes up to
+  // 19,100 touch chunks 0-2 only, one of which is corrupt.
+  ReplayOptions sliced;
+  sliced.filter.max_minute = 19100;
+  const Accounting filtered = replay(sliced);
+  ASSERT_EQ(filtered.verdicts.size(), 1u);
+  EXPECT_DOUBLE_EQ(filtered.verdicts[0].value, 1.0 / 3);
+  EXPECT_EQ(filtered.records, 128u);
 }
 
 }  // namespace
